@@ -655,31 +655,6 @@ impl FreeSpaceManager {
         };
     }
 
-    /// A pure simulation of consecutive [`FreeSpaceManager::allocate`]
-    /// calls: yields exactly the groups the real allocator would hand out,
-    /// in order, without mutating anything. The sharded write path plans a
-    /// whole section's placements through this before committing a single
-    /// side effect, so a precheck miss can still fall back to the untouched
-    /// serial loop. Only valid while the manager is not mutated (including
-    /// by `note_block_erase`, which re-keys the `LeastWorn` pop order).
-    pub fn peek_allocations(&self) -> AllocationPeek<'_> {
-        let sim = match &self.pool {
-            FreePool::FirstFree { cursor, .. } => PeekState::FirstFree {
-                recycled_idx: 0,
-                cursor: *cursor,
-            },
-            FreePool::Striped { queues, next_class } => PeekState::Striped {
-                offsets: vec![0; queues.len()],
-                next_class: *next_class,
-            },
-            FreePool::LeastWorn { queues, by_wear } => PeekState::LeastWorn {
-                offsets: vec![0; queues.len()],
-                by_wear: by_wear.clone(),
-            },
-        };
-        AllocationPeek { mgr: self, sim }
-    }
-
     /// Every group currently in the free structure, in pop order per
     /// policy. O(free); property-test oracle only.
     pub fn debug_free_groups(&self) -> Vec<u64> {
@@ -697,92 +672,6 @@ impl FreeSpaceManager {
             FreePool::LeastWorn { queues, .. } => {
                 queues.iter().flat_map(|q| q.iter().copied()).collect()
             }
-        }
-    }
-}
-
-/// Cursor state for [`FreeSpaceManager::peek_allocations`], mirroring each
-/// pool variant's pop front without consuming it.
-enum PeekState {
-    FirstFree {
-        recycled_idx: usize,
-        cursor: u64,
-    },
-    Striped {
-        offsets: Vec<usize>,
-        next_class: usize,
-    },
-    LeastWorn {
-        offsets: Vec<usize>,
-        by_wear: BTreeSet<(u64, u64)>,
-    },
-}
-
-/// Iterator over the groups the allocator *would* pop, in exact order. See
-/// [`FreeSpaceManager::peek_allocations`].
-pub struct AllocationPeek<'a> {
-    mgr: &'a FreeSpaceManager,
-    sim: PeekState,
-}
-
-impl Iterator for AllocationPeek<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        match (&mut self.sim, &self.mgr.pool) {
-            (
-                PeekState::FirstFree {
-                    recycled_idx,
-                    cursor,
-                },
-                FreePool::FirstFree { recycled, .. },
-            ) => {
-                if let Some(&g) = recycled.get(*recycled_idx) {
-                    *recycled_idx += 1;
-                    return Some(g);
-                }
-                loop {
-                    if *cursor >= self.mgr.total_groups {
-                        return None;
-                    }
-                    let g = *cursor;
-                    *cursor += 1;
-                    if !self.mgr.reserved_flags[g as usize] && !self.mgr.retired_flags[g as usize] {
-                        return Some(g);
-                    }
-                }
-            }
-            (
-                PeekState::Striped {
-                    offsets,
-                    next_class,
-                },
-                FreePool::Striped { queues, .. },
-            ) => {
-                let classes = queues.len();
-                for probe in 0..classes {
-                    let class = (*next_class + probe) % classes;
-                    if let Some(&g) = queues[class].get(offsets[class]) {
-                        offsets[class] += 1;
-                        *next_class = (class + 1) % classes;
-                        return Some(g);
-                    }
-                }
-                None
-            }
-            (PeekState::LeastWorn { offsets, by_wear }, FreePool::LeastWorn { queues, .. }) => {
-                let &(wear, row) = by_wear.first()?;
-                let queue = &queues[row as usize];
-                let g = queue[offsets[row as usize]];
-                offsets[row as usize] += 1;
-                if offsets[row as usize] >= queue.len() {
-                    by_wear.remove(&(wear, row));
-                }
-                Some(g)
-            }
-            // The sim state was built from the pool it walks; variants
-            // cannot diverge.
-            _ => unreachable!("peek state matches the pool variant"),
         }
     }
 }
@@ -1073,30 +962,6 @@ mod tests {
             let a: Vec<Option<u64>> = (0..4).map(|_| m.allocate()).collect();
             let b: Vec<Option<u64>> = (0..4).map(|_| twin.allocate()).collect();
             assert_eq!(a, b, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn peek_allocations_predicts_every_policy_exactly() {
-        for policy in PlacementPolicy::all() {
-            // Build a scrambled pool: allocations, out-of-order recycles, a
-            // reservation, wear, and a row reclaim all reshape pop order.
-            let mut m = FreeSpaceManager::new(16, 2, 2, 2, 4, policy);
-            m.reserve_range(14, 16);
-            let held: Vec<u64> = (0..7).map(|_| m.allocate().unwrap()).collect();
-            m.recycle(held[4]);
-            m.recycle(held[1]);
-            m.note_block_erase(0);
-            m.reclaim_range(8, 12);
-            // The peek must forecast the full drain, then exhaustion.
-            let predicted: Vec<u64> = m.peek_allocations().collect();
-            assert_eq!(predicted.len() as u64, m.free_count(), "{policy:?}");
-            let mut popped = Vec::new();
-            while let Some(g) = m.allocate() {
-                popped.push(g);
-            }
-            assert_eq!(predicted, popped, "{policy:?}");
-            assert_eq!(m.peek_allocations().next(), None, "{policy:?}");
         }
     }
 

@@ -21,8 +21,7 @@
 //! is flushed at completion. All flash traffic is issued at
 //! event-processing instants, which the event loop visits in
 //! non-decreasing time order — the same causality contract the
-//! closed-loop frontier enforces, so the FIFO resource models (and the
-//! sharded backbone engine) stay valid.
+//! closed-loop frontier enforces, so the FIFO resource models stay valid.
 //!
 //! # Determinism contract
 //!
@@ -30,10 +29,10 @@
 //! admission decisions are a pure function of the schedule and completion
 //! times; completion times come from the deterministic simulation. Ties
 //! are broken by fixed priority (completions, then governor ticks, then
-//! arrivals) and tenant id. Nothing depends on `FA_SHARDS`, host thread
-//! scheduling, or map iteration order, so the per-tenant report and
-//! admission trace are byte-identical across repeats and shard counts
-//! (pinned by `tests/scaleout_determinism.rs`).
+//! arrivals) and tenant id. Nothing depends on host thread scheduling or
+//! map iteration order, so the per-tenant report and admission trace are
+//! byte-identical across repeats (pinned by
+//! `tests/scaleout_determinism.rs`).
 
 use crate::config::{GovernorConfig, ScaleoutConfig};
 use crate::error::FaError;

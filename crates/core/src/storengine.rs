@@ -468,34 +468,39 @@ impl Storengine {
         }
         let mut finished = progress.finished;
         let mut row_erase_failed = false;
-        // Fast path: when no fault plan can touch an erase and every block
-        // in the row is under its endurance limit, the whole row erases
-        // through the channel-sharded engine — one lane per channel, dies
-        // swept in order inside the lane, accounting replayed at the
-        // barrier in the exact ch-major/die-minor order of the serial
-        // loop below. Any block that could fail (worn out, or a fault
-        // plan that scripts programs/erases) takes the serial loop so
-        // mid-row error semantics are untouched.
-        if flashvisor.backbone().row_erasable(plan.row as usize) {
-            let shard_plan = flashvisor.shard_plan();
-            let batch = flashvisor.backbone_mut().erase_row_sharded(
-                shard_plan,
-                progress.finished,
-                plan.row as usize,
-                OwnerId::Gc,
-            );
-            finished = finished.max(batch.finished);
-            self.stats.erases += batch.commands;
-            self.stats.blocks_reclaimed += batch.commands;
-        } else {
-            flashvisor.note_sharded_write_fallback();
-            self.finish_gc_pass_serial_erase(
-                flashvisor,
-                plan,
-                progress,
-                &mut finished,
-                &mut row_erase_failed,
-            )?;
+        let geometry = self.config.flash_geometry;
+        for ch in 0..geometry.channels {
+            for d in 0..geometry.dies_per_channel() {
+                let erase_addr = PhysicalPageAddr::new(ch, d, plan.row as usize, 0);
+                match flashvisor.backbone_mut().submit_tagged(
+                    progress.finished,
+                    FlashCommand::erase(erase_addr),
+                    OwnerId::Gc,
+                ) {
+                    Ok(erased) => {
+                        finished = finished.max(erased.finished);
+                        self.stats.erases += 1;
+                        self.stats.blocks_reclaimed += 1;
+                    }
+                    // An injected erase failure condemns only that block:
+                    // its siblings still erase, its garbage stays put for a
+                    // retry (or for row retirement once the block crosses
+                    // the failure threshold), and the pass reclaims what
+                    // actually cleared.
+                    Err(FlashError::InjectedEraseFailure(_)) => {
+                        row_erase_failed = true;
+                    }
+                    // A real fault aborts the pass — but sibling blocks may
+                    // already have erased; drain the reclaim list before
+                    // surfacing the error, or their groups (and the wear
+                    // events) would sit unaccounted until the next storage
+                    // activity.
+                    Err(e) => {
+                        flashvisor.reclaim_fully_erased();
+                        return Err(e.into());
+                    }
+                }
+            }
         }
         // The fully-erased drain first returns any group the erases cleared
         // (inside the range the reclaim below normalizes the order;
@@ -520,55 +525,6 @@ impl Storengine {
             pages_migrated: progress.migrated_pages,
             finished,
         })
-    }
-
-    /// The untouched serial erase loop `finish_gc_pass` falls back to when
-    /// the sharded precheck misses: one erase per channel/die in ch-major
-    /// order, tolerating injected failures block-by-block so mid-row error
-    /// semantics match the pre-sharding behaviour exactly.
-    fn finish_gc_pass_serial_erase(
-        &mut self,
-        flashvisor: &mut Flashvisor,
-        plan: &GcPlan,
-        progress: &GcPassProgress,
-        finished: &mut SimTime,
-        row_erase_failed: &mut bool,
-    ) -> Result<(), FaError> {
-        let geometry = self.config.flash_geometry;
-        for ch in 0..geometry.channels {
-            for d in 0..geometry.dies_per_channel() {
-                let erase_addr = PhysicalPageAddr::new(ch, d, plan.row as usize, 0);
-                match flashvisor.backbone_mut().submit_tagged(
-                    progress.finished,
-                    FlashCommand::erase(erase_addr),
-                    OwnerId::Gc,
-                ) {
-                    Ok(erased) => {
-                        *finished = (*finished).max(erased.finished);
-                        self.stats.erases += 1;
-                        self.stats.blocks_reclaimed += 1;
-                    }
-                    // An injected erase failure condemns only that block:
-                    // its siblings still erase, its garbage stays put for a
-                    // retry (or for row retirement once the block crosses
-                    // the failure threshold), and the pass reclaims what
-                    // actually cleared.
-                    Err(FlashError::InjectedEraseFailure(_)) => {
-                        *row_erase_failed = true;
-                    }
-                    // A real fault aborts the pass — but sibling blocks may
-                    // already have erased; drain the reclaim list before
-                    // surfacing the error, or their groups (and the wear
-                    // events) would sit unaccounted until the next storage
-                    // activity.
-                    Err(e) => {
-                        flashvisor.reclaim_fully_erased();
-                        return Err(e.into());
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Executes a planned reclamation pass in one go: migrate everything,

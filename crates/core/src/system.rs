@@ -1058,9 +1058,6 @@ impl FlashAbacusSystem {
             hot_group_writes: fv_stats.hot_group_writes,
             cold_group_writes: fv_stats.cold_group_writes,
             hot_steer_rate: fv_stats.hot_steer_rate(),
-            sharded_read_fallbacks: fv_stats.sharded_read_fallbacks,
-            sharded_write_fallbacks: fv_stats.sharded_write_fallbacks,
-            sharded_windows: self.flashvisor.backbone().sharded_windows(),
             tenants_arrived: 0,
             tenants_admitted: 0,
             tenants_queued: 0,

@@ -4,16 +4,11 @@
 //! ablation (foreground read p99 under concurrent GC, synchronous vs
 //! backgrounded vs budgeted) and the storage-policy ablation (placement ×
 //! GC-victim × hot/cold wear spread and migration efficiency). Written to
-//! `BENCH_PR10.json`, together with the `shard_scaling` section (the
-//! heterogeneous campaign timed at several `FA_SHARDS` settings, asserted
-//! bit-identical across shard counts, plus the window-barrier cost of the
-//! sharded executor), the `write_shard_scaling` section (the same campaign
-//! factor now that program/erase sweeps and GC erase rows ride the sharded
-//! lanes too, plus the multi-window program-sweep micro), the
-//! `endurance` section: each placement policy churned under the identical
-//! seeded wear-out fault plan until injected failures retire enough block
-//! rows to kill the device, recording the host bytes that landed first,
-//! and the `scaleout` section: the open-loop multi-tenant capacity curve
+//! `BENCH_PR10.json`, together with the `endurance` section: each
+//! placement policy churned under the identical seeded wear-out fault
+//! plan until injected failures retire enough block rows to kill the
+//! device, recording the host bytes that landed first, and the
+//! `scaleout` section: the open-loop multi-tenant capacity curve
 //! (offered load vs completed-tenant throughput and tail-SLO attainment)
 //! plus the online-QoS-governor vs static-budget ablation at the deepest
 //! overload point.
@@ -36,14 +31,12 @@ use fa_bench::experiments::policy_ablation::{churn_grid, churn_rounds, hot_cold_
 use fa_bench::experiments::scaleout::{scaleout_report, ScaleoutStat};
 use fa_bench::experiments::Campaign;
 use fa_bench::perf::{
-    group_program_sweep, group_read_sweep, hot_path_backbone, hot_path_sweep,
-    hot_path_sweep_tagged, naive_ready_first, naive_victim_groups, populated_flashvisor,
-    preloaded_hot_path_backbone, screen_batch, NaiveScanAllocator,
+    hot_path_backbone, hot_path_sweep, hot_path_sweep_tagged, naive_ready_first,
+    naive_victim_groups, populated_flashvisor, screen_batch, NaiveScanAllocator,
 };
 use fa_bench::runner::{campaign_threads, run_pairs_with_threads, ExperimentScale};
 use fa_kernel::chain::ExecutionChain;
 use fa_kernel::model::Application;
-use fa_sim::sharded::ShardPlan;
 use fa_sim::time::SimTime;
 use flashabacus::freespace::{FreeSpaceManager, PlacementPolicy};
 use flashabacus::scheduler::{intra_next_ready, SchedulerPolicy};
@@ -351,102 +344,6 @@ fn main() {
     let (tagged_commands, tagged_seconds) = time_sweeps(hot_path_sweep_tagged);
     let (batched_commands, batched_seconds) = time_sweeps(hot_path_sweep);
 
-    // Intra-run channel sharding (FA_SHARDS): the heterogeneous campaign,
-    // fully serial at the campaign level, with the flash data path sharded
-    // per run. The runs are asserted bit-identical across shard counts on
-    // every perfstat invocation — sharding may change wall-clock time only.
-    let shard_workloads = Campaign::heterogeneous_workloads(scale);
-    let mut shard_scaling: Vec<(usize, f64)> = Vec::new();
-    let mut shard_signature: Option<Vec<f64>> = None;
-    for shards in [1usize, 2, 4, 8] {
-        std::env::set_var("FA_SHARDS", shards.to_string());
-        let start = Instant::now();
-        let outcomes = run_pairs_with_threads(&shard_workloads, 1);
-        let seconds = start.elapsed().as_secs_f64();
-        let sig: Vec<f64> = outcomes.iter().map(|o| o.total_seconds).collect();
-        match &shard_signature {
-            None => shard_signature = Some(sig),
-            Some(base) => {
-                assert_eq!(base.len(), sig.len());
-                for (b, s) in base.iter().zip(&sig) {
-                    assert_eq!(
-                        b.to_bits(),
-                        s.to_bits(),
-                        "FA_SHARDS={shards} diverged from the 1-shard campaign"
-                    );
-                }
-            }
-        }
-        shard_scaling.push((shards, seconds));
-    }
-    std::env::remove_var("FA_SHARDS");
-
-    // Window-barrier cost of the sharded executor, priced on the shared
-    // preloaded group-read sweep: the serial submit_group loop vs the
-    // sharded executor (one conservative window per section submission).
-    let time_read_sweep = |plan: Option<ShardPlan>| {
-        let mut backbone = preloaded_hot_path_backbone();
-        // Warm pass, then the timed ones.
-        let (_, _, mut t) = group_read_sweep(&mut backbone, plan, SimTime::ZERO);
-        let start = Instant::now();
-        let mut commands = 0u64;
-        let mut windows = 0u64;
-        for _ in 0..hot_sweeps {
-            let (c, w, next) = group_read_sweep(&mut backbone, plan, t);
-            commands += c;
-            windows += w;
-            t = next;
-        }
-        (commands, windows, start.elapsed().as_secs_f64(), t)
-    };
-    let (sweep_cmds, sweep_windows, serial_sweep_s, serial_end) = time_read_sweep(None);
-    let (s1_cmds, _, shard1_sweep_s, s1_end) = time_read_sweep(Some(ShardPlan::new(1)));
-    let (s4_cmds, _, shard4_sweep_s, s4_end) = time_read_sweep(Some(ShardPlan::new(4)));
-    // The executor's equivalence contract, enforced before recording.
-    assert_eq!(sweep_cmds, s1_cmds);
-    assert_eq!(sweep_cmds, s4_cmds);
-    assert_eq!(serial_end, s1_end, "1-shard sweep diverged from serial");
-    assert_eq!(serial_end, s4_end, "4-shard sweep diverged from serial");
-
-    // Window-barrier cost on the *program* path: the serial per-group
-    // `submit_group` loop vs the sharded program lanes under the finite
-    // program-sweep lookahead (each section splits into multiple
-    // conservative windows, unlike the read sweep's one-per-section). A
-    // program sweep fills the device, so each timed iteration starts from
-    // a fresh backbone built outside the timer.
-    let time_program_sweep = |plan: Option<ShardPlan>| {
-        let mut backbone = hot_path_backbone();
-        // Warm pass (first touch of the arenas), then the timed ones.
-        let _ = group_program_sweep(&mut backbone, plan, SimTime::ZERO);
-        let mut commands = 0u64;
-        let mut windows = 0u64;
-        let mut elapsed = 0.0f64;
-        let mut end = SimTime::ZERO;
-        for _ in 0..hot_sweeps {
-            let mut backbone = hot_path_backbone();
-            let start = Instant::now();
-            let (c, _, t) = group_program_sweep(&mut backbone, plan, SimTime::ZERO);
-            elapsed += start.elapsed().as_secs_f64();
-            commands += c;
-            windows += backbone.sharded_windows();
-            end = t;
-        }
-        (commands, windows, elapsed, end)
-    };
-    let (pw_cmds, _, serial_pw_s, serial_pw_end) = time_program_sweep(None);
-    let (pw1_cmds, _, shard1_pw_s, pw1_end) = time_program_sweep(Some(ShardPlan::new(1)));
-    let (pw4_cmds, pw4_windows, shard4_pw_s, pw4_end) = time_program_sweep(Some(ShardPlan::new(4)));
-    assert_eq!(pw_cmds, pw1_cmds);
-    assert_eq!(pw_cmds, pw4_cmds);
-    assert_eq!(
-        serial_pw_end, pw1_end,
-        "1-shard program sweep diverged from serial"
-    );
-    assert_eq!(
-        serial_pw_end, pw4_end,
-        "4-shard program sweep diverged from serial"
-    );
-
     // The QoS ablation (simulated time, deterministic): foreground read
     // p99 under concurrent GC, synchronous vs background vs budgeted.
     let qos_apps = gc_pressure_workload();
@@ -557,107 +454,6 @@ fn main() {
         batched_seconds,
         batched_seconds * 1e9 / batched_commands as f64
     );
-    json.push_str("  },\n");
-    // Intra-run channel sharding: the heterogeneous campaign per shard
-    // count (bit-identical results, wall-clock only), against the PR 6
-    // serial number recorded on this machine, plus the sharded executor's
-    // window-barrier cost on the shared preloaded read sweep.
-    const PR6_HETEROGENEOUS_SERIAL_S: f64 = 2.2790;
-    json.push_str("  \"shard_scaling\": {\n");
-    let _ = writeln!(json, "    \"campaign\": \"heterogeneous\",");
-    let _ = writeln!(
-        json,
-        "    \"pr6_serial_seconds\": {PR6_HETEROGENEOUS_SERIAL_S:.4},"
-    );
-    json.push_str("    \"runs\": [\n");
-    let shard1_seconds = shard_scaling[0].1;
-    for (i, &(shards, seconds)) in shard_scaling.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"shards\": {}, \"seconds\": {:.4}, \"speedup_vs_1_shard\": {:.3}, \"speedup_vs_pr6\": {:.3}}}",
-            shards,
-            seconds,
-            shard1_seconds / seconds.max(1e-9),
-            PR6_HETEROGENEOUS_SERIAL_S / seconds.max(1e-9)
-        );
-        json.push_str(if i + 1 < shard_scaling.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ],\n");
-    json.push_str("    \"window_sync\": {\n");
-    let _ = writeln!(json, "      \"commands\": {sweep_cmds},");
-    let _ = writeln!(json, "      \"syncs\": {sweep_windows},");
-    let _ = writeln!(
-        json,
-        "      \"serial_loop\": {{\"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
-        serial_sweep_s,
-        serial_sweep_s * 1e9 / sweep_cmds as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"sharded_1\": {{\"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
-        shard1_sweep_s,
-        shard1_sweep_s * 1e9 / sweep_cmds as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"sharded_4\": {{\"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
-        shard4_sweep_s,
-        shard4_sweep_s * 1e9 / sweep_cmds as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"barrier_overhead_ns_per_sync\": {:.1}",
-        (shard4_sweep_s - serial_sweep_s) * 1e9 / sweep_windows as f64
-    );
-    json.push_str("    }\n");
-    json.push_str("  },\n");
-    // Write-path sharding: the campaign factor above now has program/erase
-    // sweeps and GC erase rows riding the sharded lanes too, so record the
-    // 4-vs-1-shard campaign factor under its own key (the perf gate budgets
-    // it), plus the program-sweep micro — multi-window per section under
-    // the finite lookahead, asserted physics-identical before timing.
-    json.push_str("  \"write_shard_scaling\": {\n");
-    let shard4_seconds = shard_scaling
-        .iter()
-        .find(|&&(s, _)| s == 4)
-        .map(|&(_, t)| t)
-        .expect("shard sweep covers 4 shards");
-    let _ = writeln!(
-        json,
-        "    \"campaign_sharded_4_vs_1_shard_factor\": {:.3},",
-        shard4_seconds / shard1_seconds.max(1e-9)
-    );
-    json.push_str("    \"program_window_sync\": {\n");
-    let _ = writeln!(json, "      \"commands\": {pw_cmds},");
-    let _ = writeln!(json, "      \"syncs\": {pw4_windows},");
-    let _ = writeln!(
-        json,
-        "      \"serial_loop\": {{\"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
-        serial_pw_s,
-        serial_pw_s * 1e9 / pw_cmds as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"sharded_1\": {{\"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
-        shard1_pw_s,
-        shard1_pw_s * 1e9 / pw_cmds as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"sharded_4\": {{\"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
-        shard4_pw_s,
-        shard4_pw_s * 1e9 / pw_cmds as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"barrier_overhead_ns_per_sync\": {:.1}",
-        (shard4_pw_s - serial_pw_s) * 1e9 / pw4_windows.max(1) as f64
-    );
-    json.push_str("    }\n");
     json.push_str("  },\n");
     json.push_str("  \"frontier_vs_rescan\": [\n");
     for (i, f) in frontier.iter().enumerate() {

@@ -50,32 +50,6 @@ impl FlashGeometry {
         }
     }
 
-    /// A scaled-out 64-channel backbone for sharded-engine experiments.
-    ///
-    /// Sixteen times the paper prototype's channel fan-out at the same
-    /// per-channel population: 64 channels × 4 packages × 2 dies × 2 planes
-    /// × 256 blocks × 256 pages × 8 KB = 512 GiB. This is the geometry the
-    /// channel-sharded executor is demonstrated on (`examples/`
-    /// `sharded_scale.rs`): with one event lane per channel it gives every
-    /// shard a deep pool of independent channels, so the window-barrier
-    /// cost is amortised over 16× more in-flight flash commands than the
-    /// prototype can keep busy.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let g = fa_flash::FlashGeometry::scale_64_channel();
-    /// assert_eq!(g.channels, 64);
-    /// assert_eq!(g.total_dies(), 512);
-    /// assert_eq!(g.total_bytes(), 512 * (1 << 30));
-    /// ```
-    pub fn scale_64_channel() -> Self {
-        FlashGeometry {
-            channels: 64,
-            ..Self::paper_prototype()
-        }
-    }
-
     /// A small geometry convenient for unit tests (a few MiB).
     pub fn tiny_for_tests() -> Self {
         FlashGeometry {

@@ -20,9 +20,8 @@
 //!   used to produce the paper's figures.
 //! * [`resource`] — serialized-bandwidth and FIFO-server resource models
 //!   used by links, buses, and flash channels.
-//! * [`sharded`] — a conservative time-window sharded engine (classic
-//!   PDES): per-shard event lanes, window barriers, and deterministic
-//!   sequence-ordered message merge, for parallelism inside one run.
+//! * [`sharded`] — a shard-count token the host-time benchmark still
+//!   passes around; it selects nothing.
 //! * [`rng`] — a tiny deterministic pseudo-random number generator so that
 //!   every experiment is exactly reproducible.
 //!
@@ -58,6 +57,5 @@ pub use engine::{Engine, StepOutcome};
 pub use event::EventQueue;
 pub use resource::{FifoServer, SerializedResource};
 pub use rng::DeterministicRng;
-pub use sharded::{Outbox, ShardPlan, ShardedEngine, Stamped};
 pub use stats::{Counter, Histogram, RunningStats, TimeSeries, UtilizationTracker};
 pub use time::{SimDuration, SimTime};

@@ -1,543 +1,19 @@
-//! Channel-sharded conservative-window event execution.
+//! A shard-count token that selects nothing.
 //!
-//! The serial [`Engine`](crate::engine::Engine) dispatches one event at a
-//! time in global timestamp order. For workloads whose state decomposes
-//! into independent *shards* (the flash backbone's channels being the
-//! motivating case), that total order is stronger than necessary: events
-//! bound for different shards only interact through explicitly exchanged
-//! messages, so each shard can advance independently through a bounded
-//! *window* of simulated time and exchange its cross-shard messages at a
-//! synchronization barrier — classic conservative parallel discrete-event
-//! simulation.
-//!
-//! The pieces:
-//!
-//! * [`ShardPlan`] — how many shards exist, which shard a key maps to, and
-//!   how many OS workers to use (never more than the machine offers).
-//! * [`ShardedEngine`] — per-shard time-ordered event lanes driven
-//!   window-by-window. Within a window each shard's handler runs with
-//!   exclusive access to that shard's state (in parallel across shards
-//!   when workers are available); cross-shard messages are collected in
-//!   per-shard [`Outbox`]es and merged *deterministically* — by global
-//!   submission sequence number, never by thread completion order — at the
-//!   window barrier.
-//! * [`Stamped`] — a sequence-numbered, time-stamped cross-shard message.
-//!
-//! # Determinism
-//!
-//! Every event carries the globally unique sequence number it was
-//! scheduled with. Handlers run shard-locally in per-lane time order, so
-//! each outbox is produced in a deterministic order, and the barrier merge
-//! orders messages by sequence number alone. The result is byte-identical
-//! output for *any* shard count and *any* worker count — sharding changes
-//! wall-clock time, never simulated behaviour. The engine's unit tests
-//! pin this by replaying one workload at several shard counts.
-//!
-//! # Lookahead
-//!
-//! The window length is the engine's *lookahead*: the minimum simulated
-//! time that must elapse before work done on one shard can influence
-//! another. A caller whose cross-shard coupling happens only at explicit
-//! barriers (the flash data path replays its global SRIO fan-in at the
-//! barrier, see `fa-flash`) can pass [`SimDuration::MAX`] and run a whole
-//! submission batch as a single window; callers with genuine cross-shard
-//! feedback derive the lookahead from their minimum cross-shard latency
-//! and the engine asserts that no delivered message schedules work inside
-//! a window that has already run.
+//! Every flash operation runs on one serial path; nothing in the
+//! simulator partitions work by shard. [`ShardPlan`] exists only because
+//! the host-time benchmark still passes one to the `fa_bench::perf`
+//! sweeps.
 
-use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-
-/// Shard layout: how many logical shards, and how work keys map to them.
-///
-/// The shard count is *logical* — it controls how state is partitioned and
-/// is what results must be invariant to. The worker count is *physical* —
-/// how many OS threads actually execute shards — and is capped by the
-/// machine. A 4-shard run on a single-core box executes its shards inline,
-/// one after the other, and must produce exactly the bytes the 4-shard run
-/// on a 16-core box does.
+/// A shard count that selects nothing: the host-time benchmark still
+/// passes one to the `fa_bench::perf` sweeps, which run the serial loop
+/// either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    shards: usize,
-}
+pub struct ShardPlan;
 
 impl ShardPlan {
-    /// A plan with `shards` logical shards (clamped to at least one).
-    pub fn new(shards: usize) -> Self {
-        ShardPlan {
-            shards: shards.max(1),
-        }
-    }
-
-    /// The serial plan: one shard.
-    pub fn single() -> Self {
-        Self::new(1)
-    }
-
-    /// Reads the shard count from the `FA_SHARDS` environment variable
-    /// (default 1; zero or unparsable values fall back to 1).
-    pub fn from_env() -> Self {
-        let shards = std::env::var("FA_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        Self::new(shards)
-    }
-
-    /// Number of logical shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `key` (round-robin partition).
-    pub fn shard_of(&self, key: usize) -> usize {
-        key % self.shards
-    }
-
-    /// Physical workers to use: the shard count capped by the parallelism
-    /// the machine reports. Results never depend on this.
-    pub fn workers(&self) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.shards.min(cores)
-    }
-}
-
-/// A sequence-numbered, time-stamped cross-shard message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stamped<M> {
-    /// Global submission sequence number of the event that produced this
-    /// message — the deterministic merge key at the barrier.
-    pub seq: u64,
-    /// Simulated instant the message carries (e.g. a completion time).
-    pub at: SimTime,
-    /// The payload.
-    pub msg: M,
-}
-
-/// A shard's outgoing cross-shard messages for the current window.
-///
-/// Handlers run in per-lane time order, and lanes are filled in global
-/// sequence order, so each outbox is sorted by `seq` by construction.
-#[derive(Debug)]
-pub struct Outbox<M> {
-    msgs: Vec<Stamped<M>>,
-}
-
-impl<M> Outbox<M> {
-    fn with_capacity(n: usize) -> Self {
-        Outbox {
-            msgs: Vec::with_capacity(n),
-        }
-    }
-
-    /// Queues a message for delivery at the window barrier.
-    pub fn send(&mut self, seq: u64, at: SimTime, msg: M) {
-        self.msgs.push(Stamped { seq, at, msg });
-    }
-
-    /// Messages queued so far this window.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Whether no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-}
-
-/// Merges per-shard outboxes into one stream ordered by sequence number.
-///
-/// Sequence numbers are globally unique, so the order depends only on the
-/// events themselves — never on which worker finished first. The data-path
-/// case produces per-outbox streams that are already seq-sorted, which the
-/// sort detects and handles in linear time.
-fn merge_outboxes<M>(outboxes: Vec<Outbox<M>>) -> Vec<Stamped<M>> {
-    let total: usize = outboxes.iter().map(|o| o.msgs.len()).sum();
-    let mut merged = Vec::with_capacity(total);
-    for outbox in outboxes {
-        merged.extend(outbox.msgs);
-    }
-    merged.sort_unstable_by_key(|m| m.seq);
-    merged
-}
-
-/// A conservative time-window sharded discrete-event engine.
-///
-/// Events are scheduled with a shard *key*; each shard keeps its own
-/// time-ordered lane. [`ShardedEngine::run`] repeatedly forms a window
-/// `[earliest pending, earliest pending + lookahead]`, lets every shard
-/// process its in-window events against its own state slice (in parallel
-/// across shards when workers are available), then merges the shards'
-/// outboxes by sequence number and hands each message to the caller's
-/// `deliver` callback, which may schedule follow-up events — necessarily
-/// at or after the barrier, which is what the lookahead guarantees.
-#[derive(Debug)]
-pub struct ShardedEngine<E> {
-    plan: ShardPlan,
-    lookahead: SimDuration,
-    lanes: Vec<VecDeque<(SimTime, u64, E)>>,
-    next_seq: u64,
-    now: SimTime,
-    windows: u64,
-}
-
-impl<E: Send> ShardedEngine<E> {
-    /// Creates an engine for `plan` with the given lookahead horizon.
-    pub fn new(plan: ShardPlan, lookahead: SimDuration) -> Self {
-        Self::with_capacity(plan, lookahead, 0)
-    }
-
-    /// Creates an engine with per-lane capacity reserved up front (the
-    /// data path knows its command fan-out before scheduling).
-    pub fn with_capacity(plan: ShardPlan, lookahead: SimDuration, per_lane: usize) -> Self {
-        ShardedEngine {
-            plan,
-            lookahead,
-            lanes: (0..plan.shards())
-                .map(|_| VecDeque::with_capacity(per_lane))
-                .collect(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            windows: 0,
-        }
-    }
-
-    /// The shard plan in force.
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
-    }
-
-    /// Pending events across all lanes.
-    pub fn pending(&self) -> usize {
-        self.lanes.iter().map(|l| l.len()).sum()
-    }
-
-    /// Windows (barrier syncs) completed so far.
-    pub fn windows_completed(&self) -> u64 {
-        self.windows
-    }
-
-    /// The current barrier time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules an event for the shard owning `key` and returns its
-    /// global sequence number.
-    ///
-    /// Lanes are kept time-ordered (ties resolved by sequence number, i.e.
-    /// submission order). Scheduling a time-ordered stream — the data-path
-    /// case — is a pure O(1) append; out-of-order arrivals (barrier
-    /// deliveries racing by sequence) sorted-insert from the back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current barrier time — conservative
-    /// synchronization forbids scheduling into a window that already ran.
-    pub fn schedule(&mut self, key: usize, at: SimTime, event: E) -> u64 {
-        assert!(
-            at >= self.now,
-            "event scheduled before the barrier: {at} < {}",
-            self.now
-        );
-        let lane = &mut self.lanes[self.plan.shard_of(key)];
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut pos = lane.len();
-        while pos > 0 && lane[pos - 1].0 > at {
-            pos -= 1;
-        }
-        if pos == lane.len() {
-            lane.push_back((at, seq, event));
-        } else {
-            lane.insert(pos, (at, seq, event));
-        }
-        seq
-    }
-
-    /// Drives all pending events to quiescence in conservative windows.
-    ///
-    /// `states` holds one exclusive state slice per shard. `handler` runs
-    /// shard-locally: `(shard, state, at, seq, event, outbox)`. `deliver`
-    /// runs serially at each barrier over the seq-merged messages and may
-    /// return a follow-up event to schedule.
-    pub fn run<S, M, FH, FD>(&mut self, states: &mut [S], handler: FH, mut deliver: FD)
-    where
-        S: Send,
-        M: Send,
-        FH: Fn(usize, &mut S, SimTime, u64, &E, &mut Outbox<M>) + Sync,
-        FD: FnMut(Stamped<M>) -> Option<(usize, SimTime, E)>,
-    {
-        assert_eq!(
-            states.len(),
-            self.plan.shards(),
-            "one state slice per shard"
-        );
-        let workers = self.plan.workers();
-        let next_start = |lanes: &[VecDeque<(SimTime, u64, E)>]| {
-            lanes
-                .iter()
-                .filter_map(|l| l.front().map(|&(t, _, _)| t))
-                .min()
-        };
-        while let Some(start) = next_start(&self.lanes) {
-            // The window covers [start, start + lookahead]; saturating add
-            // makes SimDuration::MAX mean "one window for everything".
-            let end = start + self.lookahead;
-            let mut window_max = start;
-            let batches: Vec<Vec<(SimTime, u64, E)>> = self
-                .lanes
-                .iter_mut()
-                .map(|lane| {
-                    let mut batch = Vec::new();
-                    while lane.front().is_some_and(|&(t, _, _)| t <= end) {
-                        let ev = lane.pop_front().expect("checked front");
-                        window_max = window_max.max(ev.0);
-                        batch.push(ev);
-                    }
-                    batch
-                })
-                .collect();
-            let outboxes = run_shard_batches(workers, states, batches, &handler);
-            self.windows += 1;
-            self.now = window_max.max(self.now);
-            for msg in merge_outboxes(outboxes) {
-                if let Some((key, at, ev)) = deliver(msg) {
-                    self.schedule(key, at, ev);
-                }
-            }
-        }
-    }
-}
-
-/// Executes one window's per-shard batches: inline when only one worker is
-/// available (or there is one shard), on scoped threads otherwise. Shards
-/// are assigned to workers round-robin and outboxes are returned indexed
-/// by shard, so the result is independent of thread scheduling.
-fn run_shard_batches<S, E, M, FH>(
-    workers: usize,
-    states: &mut [S],
-    batches: Vec<Vec<(SimTime, u64, E)>>,
-    handler: &FH,
-) -> Vec<Outbox<M>>
-where
-    S: Send,
-    E: Send,
-    M: Send,
-    FH: Fn(usize, &mut S, SimTime, u64, &E, &mut Outbox<M>) + Sync,
-{
-    let shards = states.len();
-    if workers <= 1 || shards <= 1 {
-        let mut outboxes = Vec::with_capacity(shards);
-        for (shard, (state, batch)) in states.iter_mut().zip(batches).enumerate() {
-            let mut outbox = Outbox::with_capacity(batch.len());
-            for (at, seq, ev) in &batch {
-                handler(shard, state, *at, *seq, ev, &mut outbox);
-            }
-            outboxes.push(outbox);
-        }
-        return outboxes;
-    }
-    type ShardWork<'a, S, E> = Vec<(usize, &'a mut S, Vec<(SimTime, u64, E)>)>;
-    let mut work: Vec<ShardWork<S, E>> = (0..workers).map(|_| Vec::new()).collect();
-    for (shard, (state, batch)) in states.iter_mut().zip(batches).enumerate() {
-        work[shard % workers].push((shard, state, batch));
-    }
-    let mut outboxes: Vec<Option<Outbox<M>>> = (0..shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut done = Vec::with_capacity(chunk.len());
-                    for (shard, state, batch) in chunk {
-                        let mut outbox = Outbox::with_capacity(batch.len());
-                        for (at, seq, ev) in &batch {
-                            handler(shard, state, *at, *seq, ev, &mut outbox);
-                        }
-                        done.push((shard, outbox));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (shard, outbox) in handle.join().expect("shard worker panicked") {
-                outboxes[shard] = Some(outbox);
-            }
-        }
-    });
-    outboxes
-        .into_iter()
-        .map(|o| o.expect("every shard ran"))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A toy sharded workload mirroring the flash layout: 12 logical FIFO
-    /// resources (the "channels") are partitioned over the shards, an
-    /// event serves `cost` on its resource and emits its completion as a
-    /// message, and deliveries bounce a follow-up to the *next* resource
-    /// one lookahead later — genuine cross-shard feedback, legal because
-    /// the reply lands at or after the barrier. The resource states are
-    /// keyed by logical resource, not by shard, so the behaviour must be
-    /// invariant to the shard count.
-    const RESOURCES: usize = 12;
-
-    #[derive(Debug, Clone, Copy)]
-    struct Job {
-        cost: u64,
-        hops: u32,
-        key: usize,
-    }
-
-    fn run_workload(shards: usize) -> Vec<(u64, u64)> {
-        let plan = ShardPlan::new(shards);
-        let lookahead = SimDuration::from_ns(1_000);
-        let mut engine: ShardedEngine<Job> = ShardedEngine::new(plan, lookahead);
-        for k in 0..RESOURCES {
-            engine.schedule(
-                k,
-                SimTime::from_ns(10 * k as u64),
-                Job {
-                    cost: 50 + (k as u64 % 3) * 17,
-                    hops: 2,
-                    key: k,
-                },
-            );
-        }
-        // Shard s owns resources k with k % shards == s, at slot k / shards
-        // — the same round-robin ownership map the flash backbone uses for
-        // its channels.
-        let mut states: Vec<Vec<SimTime>> = (0..plan.shards())
-            .map(|s| {
-                (s..RESOURCES)
-                    .step_by(plan.shards())
-                    .map(|_| SimTime::ZERO)
-                    .collect()
-            })
-            .collect();
-        let n_shards = plan.shards();
-        let mut seen = Vec::new();
-        engine.run(
-            &mut states,
-            |_, owned, at, seq, job, outbox| {
-                // FIFO service on the job's own resource.
-                let busy_until = &mut owned[job.key / n_shards];
-                let start = at.max(*busy_until);
-                let done = start + SimDuration::from_ns(job.cost);
-                *busy_until = done;
-                outbox.send(seq, done, *job);
-            },
-            |m| {
-                seen.push((m.seq, m.at.as_ns()));
-                if m.msg.hops > 0 {
-                    // Bounce to the next resource, one lookahead later —
-                    // the earliest a cross-shard effect may land.
-                    let next = (m.msg.key + 1) % RESOURCES;
-                    Some((
-                        next,
-                        m.at + SimDuration::from_ns(1_000),
-                        Job {
-                            cost: m.msg.cost,
-                            hops: m.msg.hops - 1,
-                            key: next,
-                        },
-                    ))
-                } else {
-                    None
-                }
-            },
-        );
-        assert_eq!(engine.pending(), 0);
-        seen
-    }
-
-    #[test]
-    fn shard_count_never_changes_results() {
-        let baseline = run_workload(1);
-        assert!(!baseline.is_empty());
-        for shards in [2, 3, 4, 7, 16] {
-            let log = run_workload(shards);
-            assert_eq!(log, baseline, "{shards} shards diverged from serial");
-        }
-    }
-
-    #[test]
-    fn windows_advance_with_lookahead() {
-        let plan = ShardPlan::new(2);
-        let mut engine: ShardedEngine<u64> = ShardedEngine::new(plan, SimDuration::from_ns(100));
-        for i in 0..4u64 {
-            engine.schedule(i as usize, SimTime::from_ns(i * 1_000), i);
-        }
-        let mut states = vec![(), ()];
-        let mut seen = Vec::new();
-        engine.run(
-            &mut states,
-            |_, _, at, seq, ev, outbox: &mut Outbox<u64>| outbox.send(seq, at, *ev),
-            |m| {
-                seen.push(m.msg);
-                None
-            },
-        );
-        // Events 1 us apart with a 100 ns lookahead: every event is its
-        // own window.
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        assert_eq!(engine.windows_completed(), 4);
-        assert_eq!(engine.pending(), 0);
-    }
-
-    #[test]
-    fn infinite_lookahead_is_one_window() {
-        let plan = ShardPlan::new(3);
-        let mut engine: ShardedEngine<u64> = ShardedEngine::new(plan, SimDuration::MAX);
-        for i in 0..9u64 {
-            engine.schedule(i as usize, SimTime::from_ns(i), i);
-        }
-        let mut states = vec![(), (), ()];
-        let mut merged = Vec::new();
-        engine.run(
-            &mut states,
-            |_, _, at, seq, ev, outbox: &mut Outbox<u64>| outbox.send(seq, at, *ev),
-            |m| {
-                merged.push(m.seq);
-                None
-            },
-        );
-        assert_eq!(engine.windows_completed(), 1);
-        // Barrier merge is by sequence number — global submission order.
-        assert_eq!(merged, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "before the barrier")]
-    fn scheduling_before_the_barrier_panics() {
-        let plan = ShardPlan::new(2);
-        let mut engine: ShardedEngine<u64> = ShardedEngine::new(plan, SimDuration::from_ns(10));
-        engine.schedule(0, SimTime::from_ns(1_000), 0);
-        let mut states = vec![(), ()];
-        engine.run(
-            &mut states,
-            |_, _, at, seq, ev, outbox: &mut Outbox<u64>| outbox.send(seq, at, *ev),
-            |_| None,
-        );
-        // The barrier has advanced past t=0 now.
-        engine.schedule(1, SimTime::ZERO, 1);
-    }
-
-    #[test]
-    fn plan_resolves_keys_and_workers() {
-        let plan = ShardPlan::new(4);
-        assert_eq!(plan.shards(), 4);
-        assert_eq!(plan.shard_of(0), 0);
-        assert_eq!(plan.shard_of(6), 2);
-        assert!(plan.workers() >= 1 && plan.workers() <= 4);
-        assert_eq!(ShardPlan::new(0).shards(), 1, "shard count clamps to 1");
+    /// A plan for `shards` shards; the count is ignored.
+    pub fn new(_shards: usize) -> Self {
+        ShardPlan
     }
 }

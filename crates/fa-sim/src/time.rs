@@ -82,8 +82,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// The longest representable duration. Additions saturate, so this
-    /// acts as an "unbounded" sentinel (e.g. an infinite lookahead for the
-    /// sharded engine).
+    /// acts as an "unbounded" sentinel.
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration of `ns` nanoseconds.

@@ -3,26 +3,18 @@
 //! The engine's contract (`flashabacus::openloop`): a campaign is a pure
 //! function of `(templates, arrival plan, scaleout config)`. The arrival
 //! schedule is precomputed from the seed, every flash request is issued at
-//! event-processing instants visited in non-decreasing time order, and the
-//! channel-sharded executor replays effects in serial submission order —
-//! so the same `FA_ARRIVALS` spec must reproduce the campaign byte for
-//! byte, and `FA_SHARDS` may change wall-clock time only.
+//! event-processing instants visited in non-decreasing time order — so
+//! the same `FA_ARRIVALS` spec must reproduce the campaign byte for byte.
 //!
-//! Both properties are pinned against [`OpenLoopReport::digest`], which
+//! The property is pinned against [`OpenLoopReport::digest`], which
 //! encodes every per-tenant record, every admission decision, and the
 //! aggregate counters (f64s as exact bit patterns). Zero tolerance: one
 //! reordered completion, one flipped admission, one ulp of drift fails.
-//!
-//! `FA_ARRIVALS`/`FA_SHARDS` are process-global, so the tests serialize on
-//! `ENV_LOCK` like `shard_determinism.rs`.
 
 use fa_bench::experiments::scaleout::run_scaleout_campaign;
 use fa_sim::arrivals::ArrivalPlan;
 use fa_workloads::tenants::tenant_templates;
 use flashabacus::openloop::{AdmissionDecision, OpenLoopReport};
-use std::sync::Mutex;
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// An overloaded bursty campaign: 128 tenants arriving faster than the six
 /// slots drain, so the trace exercises every admission path (direct
@@ -39,7 +31,6 @@ fn campaign_from_env() -> OpenLoopReport {
 
 #[test]
 fn same_arrival_spec_reproduces_the_campaign_byte_for_byte() {
-    let _env = ENV_LOCK.lock().unwrap();
     std::env::set_var("FA_ARRIVALS", ARRIVAL_SPEC);
     let a = campaign_from_env();
     let b = campaign_from_env();
@@ -69,25 +60,4 @@ fn same_arrival_spec_reproduces_the_campaign_byte_for_byte() {
         b.digest(),
         "same FA_ARRIVALS seed produced different campaign digests"
     );
-}
-
-#[test]
-fn digest_is_invariant_across_shard_counts() {
-    let _env = ENV_LOCK.lock().unwrap();
-    std::env::set_var("FA_ARRIVALS", ARRIVAL_SPEC);
-    let mut baseline: Option<String> = None;
-    for shards in [1usize, 2, 4, 7] {
-        std::env::set_var("FA_SHARDS", shards.to_string());
-        let digest = campaign_from_env().digest();
-        match &baseline {
-            None => baseline = Some(digest),
-            Some(base) => assert_eq!(
-                &digest, base,
-                "FA_SHARDS={shards} diverged from the 1-shard campaign — \
-                 the open-loop engine leaked shard structure into the physics"
-            ),
-        }
-    }
-    std::env::remove_var("FA_SHARDS");
-    std::env::remove_var("FA_ARRIVALS");
 }
