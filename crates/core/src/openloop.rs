@@ -7,7 +7,7 @@
 //! an [`AdmissionController`] bounds how many run at once (queueing or
 //! shedding the overflow), and an optional [`QosGovernor`] periodically
 //! recomputes per-tenant flash tag budgets from a sliding window over
-//! [`fa_flash::FlashBackbone::owner_stats`] — replacing the static
+//! [`fa_flash::FlashBackbone::owner_commands`] — replacing the static
 //! [`crate::config::QosConfig`] budgets while tenants run.
 //!
 //! # Execution model
@@ -217,16 +217,13 @@ impl QosGovernor {
         self.updates
     }
 
-    /// Runs one tick at `now`: recomputes and installs every active
-    /// tenant's budget override from its command delta over the window.
+    /// Runs one tick and advances the next tick instant by one window:
+    /// recomputes and installs every active tenant's budget override from
+    /// its command delta over the window. Costs O(active tenants).
     pub fn rebalance(&mut self, active: &BTreeSet<u32>, backbone: &mut FlashBackbone) {
-        let stats = backbone.owner_stats();
         let mut deltas: Vec<(u32, u64)> = Vec::with_capacity(active.len());
         for &tenant in active {
-            let commands = stats
-                .get(&OwnerId::Kernel(tenant))
-                .map(|s| s.commands())
-                .unwrap_or(0);
+            let commands = backbone.owner_commands(OwnerId::Kernel(tenant));
             let last = self.last_commands.get(&tenant).copied().unwrap_or(0);
             deltas.push((tenant, commands.saturating_sub(last)));
             self.last_commands.insert(tenant, commands);
@@ -841,6 +838,148 @@ mod tests {
         assert!((jain_fairness(&[5, 5, 5, 5]) - 1.0).abs() < 1e-12);
         // One tenant hogging everything → 1/n.
         assert!((jain_fairness(&[10, 0, 0, 0]) - 0.25).abs() < 1e-12);
+    }
+
+    /// Oracle for the property below: the governor tick computed from a
+    /// full `owner_stats()` map, the O(owners × channels) formulation.
+    struct ReferenceGovernor {
+        config: GovernorConfig,
+        last_commands: BTreeMap<u32, u64>,
+    }
+
+    impl ReferenceGovernor {
+        fn rebalance(&mut self, active: &BTreeSet<u32>, backbone: &mut FlashBackbone) {
+            let stats = backbone.owner_stats();
+            let mut deltas: Vec<(u32, u64)> = Vec::with_capacity(active.len());
+            for &tenant in active {
+                let commands = stats
+                    .get(&OwnerId::Kernel(tenant))
+                    .map(|s| s.commands())
+                    .unwrap_or(0);
+                let last = self.last_commands.get(&tenant).copied().unwrap_or(0);
+                deltas.push((tenant, commands.saturating_sub(last)));
+                self.last_commands.insert(tenant, commands);
+            }
+            let max_delta = deltas.iter().map(|&(_, d)| d).max().unwrap_or(0);
+            let min_delta = deltas.iter().map(|&(_, d)| d).min().unwrap_or(0);
+            let spread = max_delta - min_delta;
+            let (lo, hi) = (self.config.min_budget.max(1), self.config.max_budget.max(1));
+            for (tenant, delta) in deltas {
+                let budget = if spread == 0 {
+                    hi
+                } else {
+                    let above = delta - min_delta;
+                    hi - ((hi - lo) as u64 * above + spread / 2).div_euclid(spread) as usize
+                };
+                backbone.set_owner_budget_override(OwnerId::Kernel(tenant), Some(budget));
+            }
+        }
+
+        fn retire(&mut self, tenant: u32, backbone: &mut FlashBackbone) {
+            backbone.set_owner_budget_override(OwnerId::Kernel(tenant), None);
+            self.last_commands.remove(&tenant);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// A governor tick reading `owner_commands` installs
+        /// exactly the overrides the `owner_stats()` reference installs,
+        /// on every channel and for every owner, while random traffic from
+        /// up to ~3,000 owners (kernels and the background streams) runs
+        /// between ticks and tenants join and retire.
+        #[test]
+        fn governor_tick_matches_owner_stats_reference(
+            seed in 0u64..u64::MAX,
+            owners in 2u32..3_000,
+            ticks in 1usize..12,
+            min_budget in 0usize..4,
+            extra_budget in 0usize..8,
+        ) {
+            use fa_flash::{FlashGeometry, FlashOp, FlashTiming};
+            let mut rng = seed | 1;
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n.max(1)
+            };
+            let config = GovernorConfig {
+                window: SimDuration::from_ms(1),
+                min_budget,
+                max_budget: min_budget + extra_budget,
+            };
+            let new_backbone = || {
+                let geometry = FlashGeometry::tiny_for_tests();
+                let mut b =
+                    FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
+                b.preload_group(0, geometry.total_pages()).unwrap();
+                b
+            };
+            let (mut fast, mut slow) = (new_backbone(), new_backbone());
+            let total_pages = fast.geometry().total_pages();
+            let channels = fast.geometry().channels;
+            let mut governor = QosGovernor::new(config, SimTime::ZERO);
+            let mut reference = ReferenceGovernor {
+                config,
+                last_commands: BTreeMap::new(),
+            };
+            let mut active: BTreeSet<u32> =
+                (0..owners).filter(|_| next(4) == 0).collect();
+            let mut t = SimTime::ZERO;
+            for _ in 0..ticks {
+                // Enough traffic over the campaign to touch most owners.
+                for _ in 0..(2 * owners as u64 / ticks as u64 + next(200)) {
+                    let owner = match next(10) {
+                        0 => OwnerId::Gc,
+                        1 => OwnerId::Journal,
+                        // Active tenants get extra traffic, so windows
+                        // have a spread to interpolate over.
+                        2..=4 if !active.is_empty() => {
+                            let k = next(active.len() as u64) as usize;
+                            OwnerId::Kernel(*active.iter().nth(k).unwrap())
+                        }
+                        _ => OwnerId::Kernel(next(owners as u64) as u32),
+                    };
+                    let pages = 1 + next(4);
+                    let first = next(total_pages - pages + 1);
+                    let done = fast
+                        .submit_group(t, first, pages, FlashOp::ReadPage, owner)
+                        .unwrap();
+                    let twin = slow
+                        .submit_group(t, first, pages, FlashOp::ReadPage, owner)
+                        .unwrap();
+                    prop_assert_eq!(done, twin);
+                    t = done.finished;
+                }
+                governor.rebalance(&active, &mut fast);
+                reference.rebalance(&active, &mut slow);
+                for c in 0..channels {
+                    let (a, b) = (fast.channel(c).unwrap(), slow.channel(c).unwrap());
+                    for k in 0..owners + 2 {
+                        let owner = OwnerId::Kernel(k);
+                        prop_assert_eq!(
+                            a.owner_budget_override(owner),
+                            b.owner_budget_override(owner)
+                        );
+                    }
+                }
+                // Churn the active set: some tenants retire, others join
+                // (ids may come back, as a fresh tenant on an old owner).
+                for tenant in active.clone() {
+                    if next(4) == 0 {
+                        governor.retire(tenant, &mut fast);
+                        reference.retire(tenant, &mut slow);
+                        active.remove(&tenant);
+                    }
+                }
+                for _ in 0..next(owners as u64 / 4 + 1) {
+                    active.insert(next(owners as u64) as u32);
+                }
+            }
+            prop_assert_eq!(governor.updates(), ticks as u64);
+            prop_assert_eq!(fast.owner_stats(), slow.owner_stats());
+        }
     }
 
     proptest! {

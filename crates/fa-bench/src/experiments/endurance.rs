@@ -50,7 +50,7 @@ const WEAROUT_PLAN: &str = "seed=29,program=0.004,erase=0.002,retire_after=3";
 /// Hard cap on churn rounds so a regression that makes the device
 /// immortal cannot hang the bench; reaching it is reported as `died =
 /// false`, never silently.
-const MAX_ROUNDS: u64 = 200_000;
+pub const MAX_ROUNDS: u64 = 200_000;
 
 /// One policy's life story under the wear-out plan.
 #[derive(Debug, Clone)]

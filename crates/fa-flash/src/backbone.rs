@@ -280,7 +280,7 @@ impl FlashBackbone {
     /// Installs (or clears, with `None`) a per-owner tag-budget override on
     /// every channel. Overrides replace the static [`QosBudgets`] grant for
     /// that owner only; the online QoS governor uses this to retune budgets
-    /// mid-run from a sliding window over [`FlashBackbone::owner_stats`].
+    /// mid-run from a sliding window over [`FlashBackbone::owner_commands`].
     pub fn set_owner_budget_override(&mut self, owner: OwnerId, budget: Option<usize>) {
         for channel in &mut self.channels {
             channel.set_owner_budget_override(owner, budget);
@@ -987,6 +987,11 @@ impl FlashBackbone {
     /// channel tag occupancy. Summing the command counts and bytes across
     /// owners reproduces [`FlashBackbone::stats`] exactly (the oracle
     /// property).
+    ///
+    /// This is a reporting call: it builds a map of every owner that ever
+    /// submitted and merges each channel's tag peaks into it, so it costs
+    /// O(owners × channels). Per-event readers use
+    /// [`FlashBackbone::owner_commands`] instead.
     pub fn owner_stats(&self) -> BTreeMap<OwnerId, OwnerStats> {
         let mut merged: BTreeMap<OwnerId, OwnerStats> = self
             .owner_stats
@@ -1003,6 +1008,16 @@ impl FlashBackbone {
             }
         }
         merged
+    }
+
+    /// Commands (reads + programs + erases) `owner` has submitted, read
+    /// from its dense accounting slot in O(1); 0 for an owner that never
+    /// submitted. Equals `owner_stats()[owner].commands()` for every owner
+    /// that map holds.
+    pub fn owner_commands(&self, owner: OwnerId) -> u64 {
+        self.owner_stats
+            .get(owner.dense_index())
+            .map_or(0, OwnerStats::commands)
     }
 
     /// `owner`'s recorded read latencies, `None` when it completed no reads.
@@ -1357,6 +1372,73 @@ mod tests {
         assert!(b.take_disturbed_pages().is_empty());
         assert_eq!(b.fault_stats().read_disturbs, 2);
     }
+
+    /// Random valid tagged traffic over kernels 0, 2, 4, … (odd ids stay
+    /// untouched), the background streams, and the unattributed stream:
+    /// sequential programs, reads of programmed pages, and erases of full
+    /// blocks, through both the per-command and the group entry points.
+    #[test]
+    fn owner_commands_matches_owner_stats() {
+        let mut rng = 0x0c0f_fee5_eed5_u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for round in 0..8 {
+            let mut b = backbone();
+            let g = *b.geometry();
+            let kernels = 1 + 200 * round as u64;
+            // Next free page of every (channel, block) on die 0.
+            let mut write_ptr = vec![0usize; g.channels * g.blocks_per_die()];
+            let mut t = SimTime::ZERO;
+            for _ in 0..1_500 {
+                let owner = match next(kernels + 3) {
+                    0 => OwnerId::Gc,
+                    1 => OwnerId::Journal,
+                    2 => OwnerId::Unattributed,
+                    k => OwnerId::Kernel(2 * (k - 3) as u32),
+                };
+                let slot = next(write_ptr.len() as u64) as usize;
+                let (channel, block) = (slot / g.blocks_per_die(), slot % g.blocks_per_die());
+                let wp = write_ptr[slot];
+                let cmd = if wp == g.pages_per_block {
+                    write_ptr[slot] = 0;
+                    FlashCommand::erase(PhysicalPageAddr::new(channel, 0, block, 0))
+                } else if wp == 0 || next(4) == 0 {
+                    write_ptr[slot] += 1;
+                    FlashCommand::program(PhysicalPageAddr::new(channel, 0, block, wp))
+                } else {
+                    let page = next(wp as u64) as usize;
+                    FlashCommand::read(PhysicalPageAddr::new(channel, 0, block, page))
+                };
+                t = if next(2) == 0 {
+                    b.submit_tagged(t, cmd, owner).unwrap().finished
+                } else {
+                    let flat = g.addr_to_flat(cmd.addr);
+                    b.submit_group(t, flat, 1, cmd.op, owner).unwrap().finished
+                };
+            }
+            let stats = b.owner_stats();
+            for (&owner, s) in &stats {
+                assert_eq!(b.owner_commands(owner), s.commands(), "{owner:?}");
+            }
+            let touched = stats.values().filter(|s| s.commands() > 0).count();
+            assert!(2 * touched > kernels as usize, "{touched} owners touched");
+            // Untouched owners inside and past the dense vector read 0.
+            let past_end = OwnerId::Kernel(2 * kernels as u32 + 1_000);
+            for owner in (0..2 * kernels as u32).map(|k| OwnerId::Kernel(2 * k + 1)) {
+                assert!(!stats.contains_key(&owner));
+                assert_eq!(b.owner_commands(owner), 0, "{owner:?}");
+            }
+            assert_eq!(b.owner_commands(past_end), 0);
+            assert_eq!(b.owner_commands(OwnerId::Kernel(u32::MAX)), 0);
+        }
+        // A fresh backbone has no owner at all.
+        assert_eq!(backbone().owner_commands(OwnerId::Gc), 0);
+    }
+
     #[test]
     fn srio_front_end_serializes_heavy_traffic() {
         // With a deliberately slow SRIO link, programs queue on the front

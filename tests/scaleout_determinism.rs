@@ -12,7 +12,8 @@
 //! reordered completion, one flipped admission, one ulp of drift fails.
 
 use fa_bench::experiments::scaleout::run_scaleout_campaign;
-use fa_sim::arrivals::ArrivalPlan;
+use fa_sim::arrivals::{ArrivalPlan, ArrivalShape};
+use fa_sim::time::{SimDuration, SimTime};
 use fa_workloads::tenants::tenant_templates;
 use flashabacus::openloop::{AdmissionDecision, OpenLoopReport};
 
@@ -59,5 +60,52 @@ fn same_arrival_spec_reproduces_the_campaign_byte_for_byte() {
         a.digest(),
         b.digest(),
         "same FA_ARRIVALS seed produced different campaign digests"
+    );
+}
+
+/// FNV-1a over the digest bytes: one pinned word for the whole campaign.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the exact outputs of one governed campaign. The determinism test
+/// above only checks that two runs agree, so a physics change in admission
+/// or in the governor's budget schedule would pass it; this one fails on
+/// any such change that moves an outcome. The plan is built as data, never
+/// read from `FA_ARRIVALS`. At this load the governor changes the outcome
+/// (the static-budget twin completes 178 tenants, this one 175), so the
+/// pin covers the budget schedule and not just admission. It sees a
+/// budget only where it binds: a tenant rarely keeps more than a few tags
+/// in flight, so the exact schedule is pinned by the governor property
+/// test in `flashabacus::openloop`.
+#[test]
+fn governed_campaign_digest_is_pinned() {
+    let plan = ArrivalPlan {
+        seed: 7,
+        rate_per_s: 1500.0,
+        tenants: 200,
+        shape: ArrivalShape::OnOff,
+        on: SimDuration::from_ms(20),
+        off: SimDuration::from_ms(20),
+        templates: 3,
+        start: SimTime::ZERO,
+    };
+    let report = run_scaleout_campaign(&tenant_templates(1024), &plan, true);
+    let digest = report.digest();
+    assert_eq!(
+        digest.lines().last(),
+        Some(
+            "summary finished 437246590 arrived 200 admitted 42 queued 133 shed 25 \
+             p50 3fbc41e3690a4974 p99 3fcb1bb8175e158a p999 3fcb2ea2ace014cb \
+             fairness 3ff0000000000000 governor 87"
+        ),
+        "governed campaign summary drifted"
+    );
+    assert_eq!(
+        format!("{:016x}", fnv1a(digest.as_bytes())),
+        "16f4d98510de63c1",
+        "governed campaign drifted from the recorded admission/governor physics"
     );
 }
