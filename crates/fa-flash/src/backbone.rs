@@ -413,7 +413,7 @@ impl FlashBackbone {
         let by_owner = &mut self.owner_stats[oi];
         let finished = match command.op {
             FlashOp::ReadPage => {
-                let done = channel.execute(now, ChannelOp::Read, command.addr, owner, None)?;
+                let done = channel.execute(now, ChannelOp::Read, command.addr, owner)?;
                 // Read data crosses the SRIO lanes back to the network.
                 let res = self.srio.reserve(done, page_bytes);
                 self.stats.reads += 1;
@@ -429,14 +429,13 @@ impl FlashBackbone {
             FlashOp::ProgramPage => {
                 // Write data crosses SRIO before it reaches the channel.
                 let res = self.srio.reserve(now, page_bytes);
-                let done =
-                    match channel.execute(res.end, ChannelOp::Program, command.addr, owner, None) {
-                        Ok(done) => done,
-                        Err(e) => {
-                            self.book_failed_program(&e, now.as_ns());
-                            return Err(e);
-                        }
-                    };
+                let done = match channel.execute(res.end, ChannelOp::Program, command.addr, owner) {
+                    Ok(done) => done,
+                    Err(e) => {
+                        self.book_failed_program(&e, now.as_ns());
+                        return Err(e);
+                    }
+                };
                 self.valid_index.on_program(block, flat, now.as_ns());
                 self.stats.programs += 1;
                 self.stats.srio_bytes += page_bytes;
@@ -445,7 +444,7 @@ impl FlashBackbone {
                 done
             }
             FlashOp::EraseBlock => {
-                let done = channel.execute(now, ChannelOp::Erase, command.addr, owner, None)?;
+                let done = channel.execute(now, ChannelOp::Erase, command.addr, owner)?;
                 self.valid_index.on_erase(block);
                 self.stats.erases += 1;
                 by_owner.erases += 1;
@@ -503,7 +502,7 @@ impl FlashBackbone {
             let channel = &mut self.channels[command.addr.channel];
             match command.op {
                 FlashOp::ReadPage => {
-                    match channel.execute(now, ChannelOp::Read, command.addr, owner, None) {
+                    match channel.execute(now, ChannelOp::Read, command.addr, owner) {
                         Ok(done) => {
                             // Read data crosses the SRIO lanes back out.
                             let res = self.srio.reserve(done, page_bytes);
@@ -526,7 +525,7 @@ impl FlashBackbone {
                     // channel; the reservation stands even if the program
                     // then fails, as on the per-command path.
                     let res = self.srio.reserve(now, page_bytes);
-                    match channel.execute(res.end, ChannelOp::Program, command.addr, owner, None) {
+                    match channel.execute(res.end, ChannelOp::Program, command.addr, owner) {
                         Ok(done) => {
                             // Only programs (and the erase below) need the
                             // block/flat mapping; reads skip the address
@@ -551,7 +550,7 @@ impl FlashBackbone {
                     }
                 }
                 FlashOp::EraseBlock => {
-                    match channel.execute(now, ChannelOp::Erase, command.addr, owner, None) {
+                    match channel.execute(now, ChannelOp::Erase, command.addr, owner) {
                         Ok(done) => {
                             // Flush pending programs first so the valid
                             // index sees the same order as the per-command
@@ -644,27 +643,25 @@ impl FlashBackbone {
         for i in 0..pages {
             let channel = &mut self.channels[addr.channel];
             match op {
-                FlashOp::ReadPage => {
-                    match channel.execute(now, ChannelOp::Read, addr, owner, None) {
-                        Ok(done) => {
-                            let res = self.srio.reserve_prepaid(done, page_bytes, srio_service);
-                            acc.reads += 1;
-                            acc.bytes += page_bytes;
-                            let latency_ns = res.end.saturating_since(now).as_ns();
-                            acc.read_latency_total_ns += latency_ns;
-                            acc.read_latency_max_ns = acc.read_latency_max_ns.max(latency_ns);
-                            self.read_latencies[oi].push(latency_ns);
-                            finished = finished.max(res.end);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
+                FlashOp::ReadPage => match channel.execute(now, ChannelOp::Read, addr, owner) {
+                    Ok(done) => {
+                        let res = self.srio.reserve_prepaid(done, page_bytes, srio_service);
+                        acc.reads += 1;
+                        acc.bytes += page_bytes;
+                        let latency_ns = res.end.saturating_since(now).as_ns();
+                        acc.read_latency_total_ns += latency_ns;
+                        acc.read_latency_max_ns = acc.read_latency_max_ns.max(latency_ns);
+                        self.read_latencies[oi].push(latency_ns);
+                        finished = finished.max(res.end);
                     }
-                }
+                    Err(e) => {
+                        error = Some(e);
+                        break;
+                    }
+                },
                 FlashOp::ProgramPage => {
                     let res = self.srio.reserve_prepaid(now, page_bytes, srio_service);
-                    match channel.execute(res.end, ChannelOp::Program, addr, owner, None) {
+                    match channel.execute(res.end, ChannelOp::Program, addr, owner) {
                         Ok(done) => {
                             let block = (addr.channel as u64 * dies as u64 + addr.die as u64)
                                 * blocks_per_die
@@ -709,7 +706,6 @@ impl FlashBackbone {
                                         ChannelOp::Program,
                                         pad,
                                         owner,
-                                        None,
                                     );
                                     let block = (pad.channel as u64 * dies as u64 + pad.die as u64)
                                         * blocks_per_die
@@ -753,22 +749,20 @@ impl FlashBackbone {
                         }
                     }
                 }
-                FlashOp::EraseBlock => {
-                    match channel.execute(now, ChannelOp::Erase, addr, owner, None) {
-                        Ok(done) => {
-                            let block = (addr.channel as u64 * dies as u64 + addr.die as u64)
-                                * blocks_per_die
-                                + addr.block as u64;
-                            self.valid_index.on_erase(block);
-                            acc.erases += 1;
-                            finished = finished.max(done);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
+                FlashOp::EraseBlock => match channel.execute(now, ChannelOp::Erase, addr, owner) {
+                    Ok(done) => {
+                        let block = (addr.channel as u64 * dies as u64 + addr.die as u64)
+                            * blocks_per_die
+                            + addr.block as u64;
+                        self.valid_index.on_erase(block);
+                        acc.erases += 1;
+                        finished = finished.max(done);
                     }
-                }
+                    Err(e) => {
+                        error = Some(e);
+                        break;
+                    }
+                },
             }
             count += 1;
             // Step to the next flat page: channels stripe fastest, then

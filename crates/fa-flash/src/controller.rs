@@ -40,7 +40,8 @@ pub struct ChannelStats {
     pub erases: u64,
     /// Payload bytes moved over the channel bus.
     pub bytes_transferred: u64,
-    /// Peak simultaneous occupancy observed on the inbound tag queue.
+    /// Peak simultaneous occupancy observed on the inbound tag queue. It
+    /// never exceeds the queue's `inbound_tags`.
     pub peak_inbound_tags: usize,
 }
 
@@ -52,9 +53,9 @@ pub struct ChannelController {
     bus: SerializedResource,
     timing: FlashTiming,
     page_bytes: usize,
-    /// Bus time for one page-sized transfer under the default timing,
-    /// precomputed so the per-command path skips the bytes-to-duration
-    /// conversion (identical to `timing.page_transfer(page_bytes)`).
+    /// Bus time for one page-sized transfer, precomputed so the
+    /// per-command path skips the bytes-to-duration conversion (identical
+    /// to `timing.page_transfer(page_bytes)`).
     page_xfer: SimDuration,
     inbound_tags: usize,
     /// Per-owner outstanding-command budgets; unlimited by default, which
@@ -65,20 +66,16 @@ pub struct ChannelController {
     /// grant that owner. Empty by default, so static-budget admission is
     /// reproduced byte for byte until a governor writes its first budget.
     owner_budget_overrides: Vec<Option<usize>>,
-    /// Completion time and dense owner index (see [`OwnerId::dense_index`])
-    /// of each in-flight command in submission order. Because the
-    /// controller serializes each phase of a command on FIFO resources,
-    /// completion times are non-decreasing in submission order, so every
-    /// "commands still in flight at instant t" question is a suffix of this
-    /// queue found by binary search — admission never scans.
+    /// The channel's one completion queue: completion time and dense owner
+    /// index (see [`OwnerId::dense_index`]) of each in-flight command, in
+    /// submission order. Completion times are kept non-decreasing in that
+    /// order (see [`ChannelController::record_completion`]), so "commands
+    /// still in flight at instant t" is always a suffix of the queue, and
+    /// any owner's in-flight commands are the entries of that suffix
+    /// carrying its index.
     outstanding: VecDeque<(SimTime, u32)>,
-    /// Completion times of each owner's in-flight commands, indexed by
-    /// dense owner index. Each deque is a subsequence of `outstanding` and
-    /// therefore also sorted; the budget check reads the `b`-th-from-back
-    /// entry directly instead of walking the shared queue.
-    owner_outstanding: Vec<VecDeque<SimTime>>,
     /// Peak simultaneous tag occupancy per owner (dense owner index), for
-    /// the QoS figures.
+    /// the QoS figures. Never exceeds `inbound_tags`.
     owner_peaks: Vec<usize>,
     /// Valid pages across the channel, maintained incrementally by
     /// [`ChannelController::execute`], [`ChannelController::invalidate`],
@@ -120,7 +117,6 @@ impl ChannelController {
             budgets: QosBudgets::unlimited(),
             owner_budget_overrides: Vec::new(),
             outstanding: VecDeque::new(),
-            owner_outstanding: Vec::new(),
             owner_peaks: Vec::new(),
             valid_pages: 0,
             fault: None,
@@ -176,8 +172,9 @@ impl ChannelController {
             .flatten()
     }
 
-    /// Peak simultaneous tag-queue occupancy each owner reached. Owners
-    /// that never submitted a command are absent (their dense slot is 0).
+    /// Peak simultaneous tag-queue occupancy each owner reached, at most
+    /// `inbound_tags`. Owners that never submitted a command are absent
+    /// (their dense slot is 0).
     pub fn owner_peak_tags(&self) -> BTreeMap<OwnerId, usize> {
         self.owner_peaks
             .iter()
@@ -231,117 +228,87 @@ impl ChannelController {
     /// one of *its own* commands retires — other owners are admitted past
     /// it rather than FIFO-stalling behind it.
     ///
-    /// Errors with [`FlashError::CompletionOrderViolation`] if the shared
-    /// and per-owner completion queues ever disagree while retiring — the
-    /// invariant the whole suffix-scan admission model rests on. It used to
-    /// be a `debug_assert`, which meant a release build with corrupted
-    /// ordering (e.g. from a faulty completion path) would silently skew
-    /// every subsequent admission; now the corruption surfaces at the first
-    /// retire that observes it.
-    fn admit(&mut self, now: SimTime, owner: OwnerId) -> Result<SimTime, FlashError> {
-        let oi = self.ensure_owner_slot(owner);
+    /// Everything is read off the single completion queue. The commands
+    /// that finish after the tag-slot instant form a suffix of it, at most
+    /// `inbound_tags - 1` entries long: below the tag limit the whole
+    /// queue finishes after `now`, and at the limit the slot opens when
+    /// entry `occupancy - inbound_tags` retires. One backwards pass over
+    /// that suffix finds the owner's budget deferral and the occupancy the
+    /// peaks record. Since a deferral only moves admission later, both the
+    /// channel peak and every owner peak are bounded by `inbound_tags`; once
+    /// the channel peak and this owner's peak both sit at that bound and no
+    /// budget applies, the pass cannot change anything and is skipped.
+    fn admit(&mut self, now: SimTime, owner: OwnerId) -> SimTime {
+        let oi = owner.dense_index();
+        if oi >= self.owner_peaks.len() {
+            self.owner_peaks.resize(oi + 1, 0);
+        }
         // Drop commands that have already retired by the submission instant.
-        // Each retired entry pops from the shared queue and the front of its
-        // owner's deque (both hold the same clamped completion times in the
-        // same submission order).
-        while matches!(self.outstanding.front(), Some((done, _)) if *done <= now) {
-            let (done, o) = self.outstanding.pop_front().expect("checked front");
-            let popped = self.owner_outstanding[o as usize].pop_front();
-            if popped != Some(done) {
-                return Err(FlashError::CompletionOrderViolation {
-                    channel: self.index,
-                });
-            }
+        while matches!(self.outstanding.front(), Some(&(done, _)) if done <= now) {
+            self.outstanding.pop_front();
         }
         let occupancy = self.outstanding.len();
-        let mut admitted = if occupancy < self.inbound_tags {
+        let slot = if occupancy < self.inbound_tags {
             now
         } else {
-            // Admission happens when enough in-flight commands have retired
-            // to open a tag slot. Completion times are kept in submission
-            // order and that order is non-decreasing (FIFO service on every
-            // phase), so the command that frees our slot is at a fixed
-            // offset from the front.
+            // The command that frees our tag slot sits at a fixed offset
+            // from the front of the (sorted) queue.
             self.outstanding[occupancy - self.inbound_tags].0
         };
-        // Per-owner budget: with `k` of the owner's commands still in
-        // flight at the admission instant and a budget of `b`, defer until
-        // the `(k - b + 1)`-th of them retires — the `b`-th-from-back entry
-        // of the owner's (sorted) completion deque. A zero budget is
-        // clamped to one tag — it bounds concurrency, never deadlocks the
-        // owner.
-        //
-        // The in-flight counts below are short backward scans, not binary
-        // searches: the retire loop above drops everything `<= now`, and
-        // the tag-slot rule puts `admitted` at the `inbound_tags`-th entry
-        // from the back (or later), so the `> admitted` suffix of either
-        // sorted deque is at most `inbound_tags` entries long regardless
-        // of queue depth. Scanning it beats an O(log n) bisect over a
-        // deque thousands of entries deep, and counts the exact same
-        // suffix.
-        let owner_queue = &self.owner_outstanding[oi];
-        let effective_budget = self
+        // A zero budget is clamped to one tag: it bounds concurrency, never
+        // deadlocks the owner.
+        let budget = self
             .owner_budget_overrides
             .get(oi)
             .copied()
             .flatten()
-            .or_else(|| self.budgets.budget_for(owner));
-        if let Some(budget) = effective_budget {
-            let budget = budget.max(1);
-            let mut in_flight = 0usize;
-            for &t in owner_queue.iter().rev() {
-                if t <= admitted {
-                    break;
-                }
-                in_flight += 1;
-                if in_flight >= budget {
-                    break;
-                }
-            }
-            if in_flight >= budget {
-                admitted = owner_queue[owner_queue.len() - budget];
-            }
+            .or_else(|| self.budgets.budget_for(owner))
+            .map(|b| b.max(1));
+        let peaks_open = self.stats.peak_inbound_tags < self.inbound_tags
+            || self.owner_peaks[oi] < self.inbound_tags;
+        if budget.is_none() && !peaks_open {
+            return slot;
         }
-        // Occupancy the tag queue actually sees once this command is let
-        // in: the suffixes of commands finishing after the admission
-        // instant on both sorted queues.
-        let mut in_flight_at_admit = 0usize;
-        for &(done, _) in self.outstanding.iter().rev() {
-            if done <= admitted {
+        // Walk the suffix finishing after `slot`, newest first. With `b` of
+        // the owner's commands in it, the owner is deferred until the
+        // `b`-th of them from the back retires. `later`/`owner_later` count
+        // the entries finishing strictly after the current one, which is
+        // what the peaks need if admission moves to that entry's instant.
+        let budget = budget.unwrap_or(usize::MAX);
+        let mut admitted = slot;
+        let (mut in_flight, mut owner_in_flight) = (0usize, 0usize);
+        let (mut later, mut owner_later) = (0usize, 0usize);
+        let mut current = slot;
+        for &(done, o) in self.outstanding.iter().rev() {
+            if done <= slot {
                 break;
             }
-            in_flight_at_admit += 1;
-        }
-        self.stats.peak_inbound_tags = self.stats.peak_inbound_tags.max(in_flight_at_admit + 1);
-        let mut owner_in_flight = 0usize;
-        for &t in owner_queue.iter().rev() {
-            if t <= admitted {
-                break;
+            if done != current {
+                (later, owner_later, current) = (in_flight, owner_in_flight, done);
             }
-            owner_in_flight += 1;
+            in_flight += 1;
+            if o as usize == oi {
+                owner_in_flight += 1;
+                if owner_in_flight == budget {
+                    admitted = done;
+                    (in_flight, owner_in_flight) = (later, owner_later);
+                    break;
+                }
+            }
         }
+        self.stats.peak_inbound_tags = self.stats.peak_inbound_tags.max(in_flight + 1);
         self.owner_peaks[oi] = self.owner_peaks[oi].max(owner_in_flight + 1);
-        Ok(admitted)
+        admitted
     }
 
-    /// Grows the dense per-owner structures to cover `owner`, returning its
-    /// dense index.
-    fn ensure_owner_slot(&mut self, owner: OwnerId) -> usize {
-        let oi = owner.dense_index();
-        if oi >= self.owner_outstanding.len() {
-            self.owner_outstanding.resize_with(oi + 1, VecDeque::new);
-            self.owner_peaks.resize(oi + 1, 0);
-        }
-        oi
-    }
-
+    /// Queues a command's completion. A later submission that finishes
+    /// slightly earlier (e.g. an erase racing a read on another die) holds
+    /// its tag until the entry ahead of it retires, which keeps the queue
+    /// sorted.
     fn record_completion(&mut self, done: SimTime, owner: OwnerId) {
-        // Keep the queue sorted in the rare case a later submission finishes
-        // slightly earlier (e.g. an erase racing a read on another die).
         let done = self.outstanding.back().map_or(done, |b| done.max(b.0));
-        let oi = self.ensure_owner_slot(owner);
-        self.outstanding.push_back((done, oi as u32));
-        self.owner_outstanding[oi].push_back(done);
+        self.outstanding
+            .push_back((done, owner.dense_index() as u32));
     }
 
     /// Executes one operation against `addr` on behalf of `owner`,
@@ -356,20 +323,25 @@ impl ChannelController {
         op: ChannelOp,
         addr: PhysicalPageAddr,
         owner: OwnerId,
-        timing_override: Option<&FlashTiming>,
     ) -> Result<SimTime, FlashError> {
         if addr.die >= self.dies.len() {
             return Err(FlashError::OutOfRange(addr));
         }
-        let timing = *timing_override.unwrap_or(&self.timing);
-        // The page transfer is a pure function of the timing model and the
-        // page size; reuse the constructor-computed value on the default
-        // timing (the data-path case) instead of re-deriving it per command.
-        let page_xfer = match timing_override {
-            Some(t) => t.page_transfer(self.page_bytes),
-            None => self.page_xfer,
-        };
-        let admitted = self.admit(now, owner)? + timing.controller_overhead;
+        let admitted = self.admit(now, owner);
+        self.issue(admitted, op, addr, owner)
+    }
+
+    /// Services a command the tag queue admitted at `admitted` and queues
+    /// its completion.
+    fn issue(
+        &mut self,
+        admitted: SimTime,
+        op: ChannelOp,
+        addr: PhysicalPageAddr,
+        owner: OwnerId,
+    ) -> Result<SimTime, FlashError> {
+        let timing = self.timing;
+        let admitted = admitted + timing.controller_overhead;
         // Fault decision, rolled before the die operation. The counters it
         // advances are channel-local, so the verdict depends only on this
         // channel's own command sequence, not on how channels interleave.
@@ -402,7 +374,7 @@ impl ChannelController {
                     sense.end
                 };
                 // Data comes off the array, then crosses the channel bus.
-                let xfer = self.bus.reserve_duration(sense_end, page_xfer);
+                let xfer = self.bus.reserve_duration(sense_end, self.page_xfer);
                 self.stats.reads += 1;
                 self.stats.bytes_transferred += page_bytes as u64;
                 if faulted {
@@ -415,7 +387,7 @@ impl ChannelController {
             }
             ChannelOp::Program => {
                 // Data crosses the bus into the die's page register first.
-                let xfer = self.bus.reserve_duration(admitted, page_xfer);
+                let xfer = self.bus.reserve_duration(admitted, self.page_xfer);
                 let prog = die.program_page(xfer.end, addr.block, addr.page, &timing)?;
                 self.stats.programs += 1;
                 self.stats.bytes_transferred += page_bytes as u64;
@@ -513,6 +485,7 @@ impl ChannelController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn controller() -> ChannelController {
         ChannelController::new(
@@ -534,11 +507,10 @@ mod tests {
                 ChannelOp::Program,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         let read = c
-            .execute(wrote, ChannelOp::Read, addr, OwnerId::Unattributed, None)
+            .execute(wrote, ChannelOp::Read, addr, OwnerId::Unattributed)
             .unwrap();
         assert!(read > wrote);
         assert_eq!(c.stats().programs, 1);
@@ -563,29 +535,17 @@ mod tests {
         let a0 = PhysicalPageAddr::new(0, 0, 0, 0);
         let a1 = PhysicalPageAddr::new(0, 1, 0, 0);
         let d0 = c
-            .execute(
-                SimTime::ZERO,
-                ChannelOp::Program,
-                a0,
-                OwnerId::Unattributed,
-                None,
-            )
+            .execute(SimTime::ZERO, ChannelOp::Program, a0, OwnerId::Unattributed)
             .unwrap();
         let d1 = c
-            .execute(
-                SimTime::ZERO,
-                ChannelOp::Program,
-                a1,
-                OwnerId::Unattributed,
-                None,
-            )
+            .execute(SimTime::ZERO, ChannelOp::Program, a1, OwnerId::Unattributed)
             .unwrap();
         let start = d0.max(d1);
         let r0 = c
-            .execute(start, ChannelOp::Read, a0, OwnerId::Unattributed, None)
+            .execute(start, ChannelOp::Read, a0, OwnerId::Unattributed)
             .unwrap();
         let r1 = c
-            .execute(start, ChannelOp::Read, a1, OwnerId::Unattributed, None)
+            .execute(start, ChannelOp::Read, a1, OwnerId::Unattributed)
             .unwrap();
         // Both reads sense in parallel; only the bus transfer serializes, so
         // the second completion trails the first by far less than a full
@@ -603,7 +563,6 @@ mod tests {
             ChannelOp::Erase,
             PhysicalPageAddr::new(0, 0, 1, 0),
             OwnerId::Unattributed,
-            None,
         )
         .unwrap();
         assert_eq!(c.stats().bytes_transferred, before);
@@ -626,7 +585,6 @@ mod tests {
                     ChannelOp::Program,
                     addr,
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap();
             let addr = PhysicalPageAddr::new(0, 0, 0, p);
@@ -636,7 +594,6 @@ mod tests {
                     ChannelOp::Program,
                     addr,
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap();
         }
@@ -665,7 +622,6 @@ mod tests {
                 ChannelOp::Program,
                 PhysicalPageAddr::new(0, 0, 0, p),
                 hog,
-                None,
             )
             .unwrap();
         }
@@ -702,7 +658,6 @@ mod tests {
                     ChannelOp::Program,
                     PhysicalPageAddr::new(0, 0, 0, p),
                     hog,
-                    None,
                 )
                 .unwrap();
         }
@@ -715,7 +670,6 @@ mod tests {
                 ChannelOp::Program,
                 PhysicalPageAddr::new(0, 0, 0, p),
                 peer,
-                None,
             )
             .unwrap();
         }
@@ -753,7 +707,6 @@ mod tests {
                         ChannelOp::Program,
                         PhysicalPageAddr::new(0, 0, die_block, p),
                         owner,
-                        None,
                     )
                     .unwrap();
                 completions.push((done, owner));
@@ -789,7 +742,6 @@ mod tests {
                     ChannelOp::Program,
                     addr,
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap();
             let owner = if p % 2 == 0 {
@@ -798,7 +750,7 @@ mod tests {
                 OwnerId::Gc
             };
             let t = tagged
-                .execute(SimTime::ZERO, ChannelOp::Program, addr, owner, None)
+                .execute(SimTime::ZERO, ChannelOp::Program, addr, owner)
                 .unwrap();
             assert_eq!(u, t, "page {p}");
         }
@@ -814,7 +766,6 @@ mod tests {
                 ChannelOp::Read,
                 PhysicalPageAddr::new(0, 99, 0, 0),
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap_err();
         assert!(matches!(err, FlashError::OutOfRange(_)));
@@ -838,7 +789,6 @@ mod tests {
                     ChannelOp::Program,
                     PhysicalPageAddr::new(0, 0, 0, page),
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap_err();
             assert!(matches!(err, FlashError::InjectedProgramFailure(_)));
@@ -869,7 +819,6 @@ mod tests {
             ChannelOp::Program,
             addr,
             OwnerId::Unattributed,
-            None,
         )
         .unwrap();
         let plan = Arc::new(FaultPlan {
@@ -879,13 +828,7 @@ mod tests {
         c.install_fault_state(FaultState::new(plan, 0));
         let busy_before = c.die(0).unwrap().next_free();
         let err = c
-            .execute(
-                SimTime::ZERO,
-                ChannelOp::Erase,
-                addr,
-                OwnerId::Unattributed,
-                None,
-            )
+            .execute(SimTime::ZERO, ChannelOp::Erase, addr, OwnerId::Unattributed)
             .unwrap_err();
         assert!(matches!(err, FlashError::InjectedEraseFailure(_)));
         // The block kept its data, its wear counter, and the channel count.
@@ -910,7 +853,6 @@ mod tests {
                 ChannelOp::Program,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         }
@@ -925,7 +867,6 @@ mod tests {
                 ChannelOp::Read,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         let t_disturbed = disturbed
@@ -934,7 +875,6 @@ mod tests {
                 ChannelOp::Read,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         // The disturbed read still succeeds, but pays the retry sense.
@@ -956,12 +896,388 @@ mod tests {
                 ChannelOp::Program,
                 PhysicalPageAddr::new(0, 0, 0, p),
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         }
         assert_eq!(c.total_valid_pages(), 3);
         c.invalidate(PhysicalPageAddr::new(0, 0, 0, 1)).unwrap();
         assert_eq!(c.total_valid_pages(), 2);
+    }
+
+    /// The admission model this controller used before it kept a single
+    /// completion queue: the shared queue plus one completion deque per
+    /// owner, with full backwards scans for the peaks on every command.
+    /// The differential tests below hold [`ChannelController::admit`] to it.
+    #[derive(Debug, Clone)]
+    struct TwoQueueAdmission {
+        inbound_tags: usize,
+        budgets: QosBudgets,
+        overrides: Vec<Option<usize>>,
+        outstanding: VecDeque<(SimTime, u32)>,
+        owner_queues: Vec<VecDeque<SimTime>>,
+        owner_peaks: Vec<usize>,
+        peak_inbound_tags: usize,
+    }
+
+    impl TwoQueueAdmission {
+        fn new(inbound_tags: usize, budgets: QosBudgets) -> Self {
+            TwoQueueAdmission {
+                inbound_tags,
+                budgets,
+                overrides: Vec::new(),
+                outstanding: VecDeque::new(),
+                owner_queues: Vec::new(),
+                owner_peaks: Vec::new(),
+                peak_inbound_tags: 0,
+            }
+        }
+
+        fn set_override(&mut self, owner: OwnerId, budget: Option<usize>) {
+            let oi = owner.dense_index();
+            if oi >= self.overrides.len() {
+                self.overrides.resize(oi + 1, None);
+            }
+            self.overrides[oi] = budget;
+        }
+
+        fn slot(&mut self, owner: OwnerId) -> usize {
+            let oi = owner.dense_index();
+            if oi >= self.owner_queues.len() {
+                self.owner_queues.resize_with(oi + 1, VecDeque::new);
+                self.owner_peaks.resize(oi + 1, 0);
+            }
+            oi
+        }
+
+        fn admit(&mut self, now: SimTime, owner: OwnerId) -> SimTime {
+            let oi = self.slot(owner);
+            while matches!(self.outstanding.front(), Some((done, _)) if *done <= now) {
+                let (done, o) = self.outstanding.pop_front().expect("checked front");
+                let popped = self.owner_queues[o as usize].pop_front();
+                assert_eq!(popped, Some(done), "shared and owner queues disagree");
+            }
+            let occupancy = self.outstanding.len();
+            let mut admitted = if occupancy < self.inbound_tags {
+                now
+            } else {
+                self.outstanding[occupancy - self.inbound_tags].0
+            };
+            let owner_queue = &self.owner_queues[oi];
+            let effective_budget = self
+                .overrides
+                .get(oi)
+                .copied()
+                .flatten()
+                .or_else(|| self.budgets.budget_for(owner));
+            if let Some(budget) = effective_budget {
+                let budget = budget.max(1);
+                let mut in_flight = 0usize;
+                for &t in owner_queue.iter().rev() {
+                    if t <= admitted {
+                        break;
+                    }
+                    in_flight += 1;
+                    if in_flight >= budget {
+                        break;
+                    }
+                }
+                if in_flight >= budget {
+                    admitted = owner_queue[owner_queue.len() - budget];
+                }
+            }
+            let in_flight_at_admit = self
+                .outstanding
+                .iter()
+                .rev()
+                .take_while(|&&(done, _)| done > admitted)
+                .count();
+            self.peak_inbound_tags = self.peak_inbound_tags.max(in_flight_at_admit + 1);
+            let owner_in_flight = owner_queue
+                .iter()
+                .rev()
+                .take_while(|&&t| t > admitted)
+                .count();
+            self.owner_peaks[oi] = self.owner_peaks[oi].max(owner_in_flight + 1);
+            admitted
+        }
+
+        fn record(&mut self, done: SimTime, owner: OwnerId) {
+            let done = self.outstanding.back().map_or(done, |b| done.max(b.0));
+            let oi = self.slot(owner);
+            self.outstanding.push_back((done, oi as u32));
+            self.owner_queues[oi].push_back(done);
+        }
+
+        fn owner_peak_tags(&self) -> BTreeMap<OwnerId, usize> {
+            self.owner_peaks
+                .iter()
+                .enumerate()
+                .filter(|(_, &peak)| peak > 0)
+                .map(|(i, &peak)| (OwnerId::from_dense_index(i), peak))
+                .collect()
+        }
+    }
+
+    /// A controller and a twin whose commands are admitted by
+    /// [`TwoQueueAdmission`] instead, fed the same command stream.
+    #[derive(Debug, Clone)]
+    struct Lockstep {
+        controller: ChannelController,
+        twin: ChannelController,
+        reference: TwoQueueAdmission,
+    }
+
+    impl Lockstep {
+        fn new(geometry: &FlashGeometry, inbound_tags: usize, budgets: QosBudgets) -> Self {
+            let timing = FlashTiming::fast_for_tests();
+            let mut controller = ChannelController::new(0, geometry, timing, 1_000, inbound_tags);
+            controller.set_qos_budgets(budgets);
+            Lockstep {
+                twin: controller.clone(),
+                controller,
+                reference: TwoQueueAdmission::new(inbound_tags, budgets),
+            }
+        }
+
+        fn set_override(&mut self, owner: OwnerId, budget: Option<usize>) {
+            self.controller.set_owner_budget_override(owner, budget);
+            self.reference.set_override(owner, budget);
+        }
+
+        /// Runs one command on both sides and reports the first way they
+        /// differ: result, channel peak, or any owner's peak.
+        fn execute(
+            &mut self,
+            now: SimTime,
+            op: ChannelOp,
+            addr: PhysicalPageAddr,
+            owner: OwnerId,
+        ) -> Result<Result<SimTime, FlashError>, String> {
+            let got = self.controller.execute(now, op, addr, owner);
+            let want = if addr.die >= self.twin.die_count() {
+                Err(FlashError::OutOfRange(addr))
+            } else {
+                let admitted = self.reference.admit(now, owner);
+                let done = self.twin.issue(admitted, op, addr, owner);
+                if let Ok(done) = done {
+                    self.reference.record(done, owner);
+                }
+                done
+            };
+            if got != want {
+                return Err(format!(
+                    "{op:?} {addr:?} by {owner:?} at {now}: {got:?} != {want:?}"
+                ));
+            }
+            let (peak, want_peak) = (
+                self.controller.stats().peak_inbound_tags,
+                self.reference.peak_inbound_tags,
+            );
+            if peak != want_peak {
+                return Err(format!(
+                    "channel peak {peak} != {want_peak} after {owner:?} at {now}"
+                ));
+            }
+            if self.controller.owner_peak_tags() != self.reference.owner_peak_tags() {
+                return Err(format!(
+                    "owner peaks {:?} != {:?}",
+                    self.controller.owner_peak_tags(),
+                    self.reference.owner_peak_tags()
+                ));
+            }
+            Ok(got)
+        }
+    }
+
+    /// One channel, four dies.
+    fn four_die_geometry() -> FlashGeometry {
+        FlashGeometry {
+            channels: 1,
+            packages_per_channel: 2,
+            dies_per_package: 2,
+            planes_per_die: 1,
+            blocks_per_plane: 8,
+            pages_per_block: 16,
+            page_bytes: 4096,
+        }
+    }
+
+    /// Turns a sampled selector into a legal command against the write
+    /// cursors in `programmed` (pages programmed per die and block): mostly
+    /// reads of programmed pages, some sequential programs, a few erases.
+    fn command(
+        geometry: &FlashGeometry,
+        programmed: &mut [Vec<usize>],
+        selector: u8,
+        die: usize,
+        block: usize,
+        page: usize,
+    ) -> (ChannelOp, PhysicalPageAddr) {
+        let cursor = &mut programmed[die][block];
+        let op = match selector {
+            _ if *cursor == geometry.pages_per_block => ChannelOp::Erase,
+            0..=4 if *cursor > 0 => ChannelOp::Read,
+            0..=6 => ChannelOp::Program,
+            _ => ChannelOp::Erase,
+        };
+        let page = match op {
+            ChannelOp::Read => page % *cursor,
+            ChannelOp::Program => {
+                *cursor += 1;
+                *cursor - 1
+            }
+            ChannelOp::Erase => {
+                *cursor = 0;
+                0
+            }
+        };
+        (op, PhysicalPageAddr::new(0, die, block, page))
+    }
+
+    /// Gaps between successive submissions: equal instants (bursts that
+    /// fill the tag queue) up to gaps longer than an erase.
+    const STEPS_NS: [u64; 6] = [0, 0, 10, 1_000, 5_000, 40_000];
+
+    /// A sampled static budget: 0 (clamped to one tag) to 4, or 5 for
+    /// unlimited.
+    fn budget(v: usize) -> Option<usize> {
+        (v < 5).then_some(v)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn single_queue_admission_matches_the_two_queue_reference(
+            setup in (1usize..12, 0usize..6, 0usize..6),
+            stream in prop::collection::vec(
+                (0usize..48, 0u8..8, 0usize..6, (0usize..4, 0usize..8, 0usize..16), 0u32..100),
+                1..400,
+            )
+        ) {
+            let (inbound_tags, per_owner, background) = setup;
+            let geometry = four_die_geometry();
+            let budgets = QosBudgets {
+                per_owner: budget(per_owner),
+                background: budget(background),
+            };
+            let mut lockstep = Lockstep::new(&geometry, inbound_tags, budgets);
+            let mut programmed = vec![vec![0usize; geometry.blocks_per_plane]; 4];
+            let mut now = SimTime::ZERO;
+            for (owner, selector, step, (die, block, page), knob) in stream {
+                // Half the traffic comes from four hot kernels, so budgets
+                // bind; the rest spreads over all 24 owners.
+                let owner = match owner {
+                    0..=23 => OwnerId::Kernel(owner as u32 % 4),
+                    _ => OwnerId::from_dense_index(owner - 24),
+                };
+                // Overrides come and go mid-stream; 0 is clamped to one tag.
+                match knob {
+                    0..=9 => lockstep.set_override(owner, Some(knob as usize % 5)),
+                    10..=14 => lockstep.set_override(owner, None),
+                    _ => {}
+                }
+                now += SimDuration::from_ns(STEPS_NS[step]);
+                let (op, addr) = command(&geometry, &mut programmed, selector, die, block, page);
+                lockstep.execute(now, op, addr, owner)?.map_err(|e| e.to_string())?;
+            }
+            let (got, want) = (lockstep.controller.stats(), lockstep.twin.stats());
+            prop_assert_eq!(got.reads, want.reads);
+            prop_assert_eq!(got.programs, want.programs);
+            prop_assert_eq!(got.erases, want.erases);
+        }
+    }
+
+    #[test]
+    fn peaks_stay_within_the_tag_queue_and_late_overrides_still_defer() {
+        let geometry = four_die_geometry();
+        let inbound_tags = 4;
+        let mut lockstep = Lockstep::new(&geometry, inbound_tags, QosBudgets::unlimited());
+        let mut programmed = vec![vec![0usize; geometry.blocks_per_plane]; 4];
+        let hog = OwnerId::Kernel(7);
+        // Saturate: 20 owners flood programs in bursts of equal instants,
+        // then the hog floods alone until it holds every tag.
+        let mut now = SimTime::ZERO;
+        for i in 0..200usize {
+            let owner = OwnerId::from_dense_index(i % 20);
+            let (op, addr) = command(&geometry, &mut programmed, 5, i % 4, i / 64 % 8, 0);
+            lockstep.execute(now, op, addr, owner).unwrap().unwrap();
+            if i % 16 == 15 {
+                now += SimDuration::from_us(5);
+            }
+        }
+        for i in 0..8usize {
+            let (op, addr) = command(&geometry, &mut programmed, 5, i % 4, 7, 0);
+            lockstep.execute(now, op, addr, hog).unwrap().unwrap();
+        }
+        let c = &lockstep.controller;
+        assert_eq!(c.stats().peak_inbound_tags, inbound_tags);
+        assert_eq!(c.owner_peak_tags()[&hog], inbound_tags);
+        assert_eq!(c.owner_peak_tags().len(), 20);
+        assert!(c.owner_peak_tags().values().all(|&p| p <= inbound_tags));
+        // Every peak is saturated, so only the budget still needs the scan.
+        // An override installed now must defer the hog exactly as the
+        // reference does, and later than the same stream without it.
+        let mut unbudgeted = lockstep.clone();
+        let mut unbudgeted_cursors = programmed.clone();
+        lockstep.set_override(hog, Some(1));
+        let (mut deferred, mut free) = (SimTime::ZERO, SimTime::ZERO);
+        for i in 0..8usize {
+            let (op, addr) = command(&geometry, &mut programmed, 0, i % 4, 7, i);
+            deferred = lockstep.execute(now, op, addr, hog).unwrap().unwrap();
+            let (op, addr) = command(&geometry, &mut unbudgeted_cursors, 0, i % 4, 7, i);
+            free = unbudgeted.execute(now, op, addr, hog).unwrap().unwrap();
+        }
+        assert!(
+            deferred > free,
+            "override did not defer: {deferred} <= {free}"
+        );
+        assert!(lockstep.controller.stats().peak_inbound_tags <= inbound_tags);
+    }
+
+    #[test]
+    fn deferral_behind_tied_completions_counts_only_later_ones() {
+        // A read racing an erase on another die finishes first but holds
+        // its tag until the erase retires, so the two share a completion
+        // time. An owner deferred to that instant sees only the commands
+        // finishing strictly after it: the tie is not in flight.
+        let geometry = four_die_geometry();
+        let mut lockstep = Lockstep::new(&geometry, 8, QosBudgets::unlimited());
+        // One page on each of dies 1-3, programmed one at a time.
+        let mut t = SimTime::ZERO;
+        for die in 1..4 {
+            let addr = PhysicalPageAddr::new(0, die, 0, 0);
+            t = lockstep
+                .execute(t, ChannelOp::Program, addr, OwnerId::Gc)
+                .unwrap()
+                .unwrap();
+        }
+        assert_eq!(lockstep.controller.stats().peak_inbound_tags, 1);
+        let (a, e) = (OwnerId::Kernel(0), OwnerId::Kernel(1));
+        lockstep.set_override(a, Some(1));
+        lockstep.set_override(e, Some(1));
+        let now = SimTime::from_ms(1);
+        let erase = PhysicalPageAddr::new(0, 0, 0, 0);
+        let d = lockstep
+            .execute(now, ChannelOp::Erase, erase, a)
+            .unwrap()
+            .unwrap();
+        let read = |die| PhysicalPageAddr::new(0, die, 0, 0);
+        let tied = lockstep
+            .execute(now, ChannelOp::Read, read(1), e)
+            .unwrap()
+            .unwrap();
+        assert!(tied < d, "the read must finish before the erase");
+        let after = lockstep
+            .execute(now, ChannelOp::Read, read(2), e)
+            .unwrap()
+            .unwrap();
+        assert!(after > d);
+        assert_eq!(lockstep.controller.stats().peak_inbound_tags, 2);
+        // Deferred to `d`: only the second read is still in flight.
+        lockstep
+            .execute(now, ChannelOp::Read, read(3), a)
+            .unwrap()
+            .unwrap();
+        assert_eq!(lockstep.controller.stats().peak_inbound_tags, 2);
     }
 }
