@@ -450,18 +450,68 @@ impl Flashvisor {
     /// Pre-populates the mapping and backbone for a logical byte range, as
     /// if a host had written the input data before the experiment started.
     /// Consumes no simulated time.
+    ///
+    /// Each unmapped logical group gets a physical group from the allocator
+    /// in order, and every run of consecutive physical groups is placed on
+    /// the backbone with one [`FlashBackbone::preload_group`] call. A run's
+    /// groups are mapped and committed, in logical order, only once its
+    /// preload succeeded. On an error the groups mapped by earlier runs
+    /// stay; the failing run is rolled back and leaves the device
+    /// untouched, where before this method left a partial preload.
     pub fn preload_range(&mut self, start: u64, len: u64) -> Result<(), FaError> {
         if len == 0 {
             return Ok(());
         }
-        let pages = self.config.pages_per_group();
         let (first, last) = self.groups_covering(start, len);
+        // (logical, physical) groups of the pending run; the physical
+        // groups are consecutive.
+        let mut run: Vec<(u64, u64)> = Vec::new();
+        let mut outcome = Ok(());
         for lg in first..=last {
-            if self.logical_slot(lg)?.is_some() {
-                continue;
+            let pg = match self.logical_slot(lg) {
+                Ok(Some(_)) => continue,
+                Ok(None) => self.allocate_physical_group(),
+                Err(e) => Err(e),
+            };
+            let pg = match pg {
+                Ok(pg) => pg,
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            };
+            if run.last().is_some_and(|&(_, prev)| prev + 1 != pg) {
+                if let Err(e) = self.preload_run(&mut run) {
+                    self.rollback_failed_allocation(pg);
+                    return Err(e);
+                }
             }
-            let pg = self.allocate_physical_group()?;
-            self.backbone.preload_group(pg * pages, pages)?;
+            run.push((lg, pg));
+        }
+        // Groups allocated before an allocation failure are placed first,
+        // as a group-by-group preload would have left them.
+        self.preload_run(&mut run)?;
+        outcome
+    }
+
+    /// Places one run of consecutive physical groups on the backbone, then
+    /// maps and commits each `(logical, physical)` pair in order, draining
+    /// `run`. On a backbone error the run's allocations are rolled back.
+    fn preload_run(&mut self, run: &mut Vec<(u64, u64)>) -> Result<(), FaError> {
+        let Some(&(_, first_pg)) = run.first() else {
+            return Ok(());
+        };
+        let pages = self.config.pages_per_group();
+        if let Err(e) = self
+            .backbone
+            .preload_group(first_pg * pages, run.len() as u64 * pages)
+        {
+            for (_, pg) in run.drain(..) {
+                self.rollback_failed_allocation(pg);
+            }
+            return Err(e.into());
+        }
+        for (lg, pg) in run.drain(..) {
             self.mapping[lg as usize] = pg + 1;
             self.reverse[pg as usize] = lg + 1;
             // Preloads model data that existed before the run: they must
@@ -1173,6 +1223,41 @@ mod tests {
         // Recycling a group makes one write possible again.
         v.recycle_group(0);
         assert_eq!(v.free_physical_groups(), 1);
+    }
+
+    #[test]
+    fn preload_maps_every_group_allocated_before_exhaustion() {
+        let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        let (total, group_bytes) = (config.total_page_groups(), config.page_group_bytes);
+        let pages = config.pages_per_group();
+        let mut v = Flashvisor::new(config);
+        let mut sp = Scratchpad::new(&PlatformSpec::paper_prototype());
+        // A group mapped beforehand is skipped, splitting the runs.
+        v.write_section(SimTime::ZERO, group_bytes, group_bytes, &mut sp)
+            .unwrap();
+        let writable = v.free_physical_groups();
+        // The whole logical space does not fit: the allocator runs dry
+        // (the reserved journal row also breaks the physical runs), and
+        // every group allocated before that is placed and mapped.
+        let res = v.preload_range(0, total * group_bytes);
+        assert!(matches!(res, Err(FaError::OutOfFlashSpace { .. })));
+        assert_eq!(v.free_physical_groups(), 0);
+        assert_eq!(v.mapped_groups().count() as u64, writable + 1);
+        for (lg, pg) in v.mapped_groups() {
+            assert_eq!(v.logical_group_mapped_to(pg), Some(lg));
+            assert_eq!(
+                v.backbone().valid_index().group_valid_pages(pg) as u64,
+                pages
+            );
+        }
+        assert_eq!(
+            v.backbone().total_valid_pages() as u64,
+            (writable + 1) * pages
+        );
+        assert_eq!(
+            v.backbone().total_valid_pages(),
+            v.backbone().recount_valid_pages()
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! [`FlashCompletion`] with the full timing breakdown.
 
 use crate::controller::{ChannelController, ChannelOp, ChannelStats};
+use crate::die::PageState;
 use crate::error::FlashError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
@@ -138,6 +139,9 @@ pub struct FlashBackbone {
     /// channel carries fault state and every hook is one dead branch —
     /// fault-free runs stay byte-identical to the recorded golden campaign.
     fault_plan: Option<Arc<FaultPlan>>,
+    /// The `(flat page, valid)` pairs of the block an erase is about to
+    /// clear, reused across erases (see [`FlashBackbone::collect_resident`]).
+    erase_resident: Vec<(u64, bool)>,
 }
 
 impl FlashBackbone {
@@ -172,6 +176,7 @@ impl FlashBackbone {
                 srio_bytes_per_sec,
             ),
             fault_plan: None,
+            erase_resident: Vec::new(),
         }
     }
 
@@ -392,6 +397,32 @@ impl FlashBackbone {
         }
     }
 
+    /// Fills `erase_resident` with the programmed pages of the block
+    /// holding `addr`, read off its die before an erase clears them:
+    /// ascending `(flat page, valid)` pairs, the input of
+    /// [`ValidPageIndex::on_erase`]. The block's programmed pages are
+    /// `0..write_cursor`, and consecutive pages of one block sit one stripe
+    /// (`channels × dies` flat pages) apart, so the flat index is stepped
+    /// rather than recomputed. Left empty without group tracking, the only
+    /// reader.
+    fn collect_resident(&mut self, addr: PhysicalPageAddr) {
+        self.erase_resident.clear();
+        if !self.valid_index.tracks_groups() {
+            return;
+        }
+        let die = self.channels[addr.channel]
+            .die(addr.die)
+            .expect("erase address within the geometry");
+        let stride = (self.geometry.channels * self.geometry.dies_per_channel()) as u64;
+        let mut flat = self
+            .geometry
+            .addr_to_flat(PhysicalPageAddr { page: 0, ..addr });
+        for &state in die.programmed_page_states(addr.block) {
+            self.erase_resident.push((flat, state == PageState::Valid));
+            flat += stride;
+        }
+    }
+
     /// Submits a command at `now` on behalf of `owner` and returns its
     /// completion record. The owner identity reaches the channel
     /// controller's tag queue (per-owner budget admission) and the
@@ -404,6 +435,9 @@ impl FlashBackbone {
     ) -> Result<FlashCompletion, FlashError> {
         if !self.geometry.contains(command.addr) {
             return Err(FlashError::OutOfRange(command.addr));
+        }
+        if command.op == FlashOp::EraseBlock {
+            self.collect_resident(command.addr);
         }
         let oi = self.owner_slot(owner);
         let page_bytes = self.geometry.page_bytes as u64;
@@ -445,7 +479,7 @@ impl FlashBackbone {
             }
             FlashOp::EraseBlock => {
                 let done = channel.execute(now, ChannelOp::Erase, command.addr, owner)?;
-                self.valid_index.on_erase(block);
+                self.valid_index.on_erase(block, &self.erase_resident);
                 self.stats.erases += 1;
                 by_owner.erases += 1;
                 done
@@ -499,6 +533,9 @@ impl FlashBackbone {
                     oi
                 }
             };
+            if command.op == FlashOp::EraseBlock {
+                self.collect_resident(command.addr);
+            }
             let channel = &mut self.channels[command.addr.channel];
             match command.op {
                 FlashOp::ReadPage => {
@@ -558,7 +595,7 @@ impl FlashBackbone {
                             self.valid_index
                                 .on_program_batch(programmed.drain(..), now_ns);
                             self.valid_index
-                                .on_erase(geometry.block_index(command.addr));
+                                .on_erase(geometry.block_index(command.addr), &self.erase_resident);
                             acc.erases += 1;
                             finished = finished.max(done);
                         }
@@ -641,6 +678,9 @@ impl FlashBackbone {
         }
         let mut error: Option<FlashError> = None;
         for i in 0..pages {
+            if op == FlashOp::EraseBlock {
+                self.collect_resident(addr);
+            }
             let channel = &mut self.channels[addr.channel];
             match op {
                 FlashOp::ReadPage => match channel.execute(now, ChannelOp::Read, addr, owner) {
@@ -754,7 +794,7 @@ impl FlashBackbone {
                         let block = (addr.channel as u64 * dies as u64 + addr.die as u64)
                             * blocks_per_die
                             + addr.block as u64;
-                        self.valid_index.on_erase(block);
+                        self.valid_index.on_erase(block, &self.erase_resident);
                         acc.erases += 1;
                         finished = finished.max(done);
                     }
@@ -798,36 +838,25 @@ impl FlashBackbone {
         })
     }
 
-    /// Marks a page valid without consuming device time (pre-experiment data
-    /// placement; see [`crate::die::FlashDie::preload_page`]).
-    pub fn preload(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
-        if !self.geometry.contains(addr) {
-            return Err(FlashError::OutOfRange(addr));
-        }
-        self.channels[addr.channel].preload(addr)?;
-        self.valid_index.on_program(
-            self.geometry.block_index(addr),
-            self.geometry.addr_to_flat(addr),
-            0,
-        );
-        Ok(())
-    }
-
-    /// Preloads `pages` consecutive flat pages starting at `first_flat` in
-    /// one vectored call — exactly equivalent to calling
-    /// [`FlashBackbone::preload`] on each page in ascending order (an error
-    /// leaves every earlier page preloaded and indexed, like the per-page
-    /// loop would), but the flat→physical conversion is done once and then
-    /// stepped incrementally (consecutive flats stripe channels first, dies
-    /// second), and the valid-index accounting lands through the batched
-    /// entry point. This is the pre-experiment data-placement fast path:
-    /// the campaign preloads hundreds of thousands of pages before any
-    /// event runs, and three div/mod chains per page dominated that phase.
+    /// Preloads the `pages` consecutive flat pages starting at `first_flat`:
+    /// marks them valid without consuming device time, as if the data had
+    /// been written before the experiment started (the paper's input files
+    /// live on the flash backbone before kernels are offloaded). The die
+    /// rules still hold — every page must be erased, and each block must be
+    /// filled from its write cursor on.
+    ///
+    /// The range is placed per *segment*, not per page: on each (channel,
+    /// die) it covers one contiguous run of page rows, split here at block
+    /// boundaries, and each segment is one die update, one channel count
+    /// and one valid-index update; the group counters move once per group.
+    /// Every segment is checked before any is applied, so an `Err` — the
+    /// error a page-by-page preload would have hit first — leaves the
+    /// device and the index untouched. (A page-by-page preload left every
+    /// page before the failing one in place.)
     ///
     /// # Panics
     ///
-    /// Panics if the range reaches outside the backbone, exactly where the
-    /// per-page `flat_to_addr` would.
+    /// Panics if the range reaches outside the backbone.
     pub fn preload_group(&mut self, first_flat: u64, pages: u64) -> Result<(), FlashError> {
         if pages == 0 {
             return Ok(());
@@ -836,48 +865,35 @@ impl FlashBackbone {
             first_flat + pages <= self.geometry.total_pages(),
             "page index out of range"
         );
-        let channels = self.geometry.channels;
-        let dies = self.geometry.dies_per_channel();
-        let pages_per_block = self.geometry.pages_per_block;
-        let blocks_per_die = self.geometry.blocks_per_die() as u64;
-        let mut addr = self.geometry.flat_to_addr(first_flat);
-        // (block index, flat page) of every page preloaded so far, flushed
-        // to the valid index in 64-page chunks (the invalidate_group shape).
-        let mut entries = [(0u64, 0u64); 64];
-        let mut filled = 0usize;
-        for i in 0..pages {
-            if let Err(e) = self.channels[addr.channel].preload(addr) {
-                self.valid_index
-                    .on_program_batch(entries[..filled].iter().copied(), 0);
-                return Err(e);
-            }
-            let block = (addr.channel as u64 * dies as u64 + addr.die as u64) * blocks_per_die
-                + addr.block as u64;
-            entries[filled] = (block, first_flat + i);
-            filled += 1;
-            if filled == entries.len() {
-                self.valid_index
-                    .on_program_batch(entries.iter().copied(), 0);
-                filled = 0;
-            }
-            // Step to the next flat page: channels stripe fastest, then
-            // dies, then pages within the block, then blocks.
-            addr.channel += 1;
-            if addr.channel == channels {
-                addr.channel = 0;
-                addr.die += 1;
-                if addr.die == dies {
-                    addr.die = 0;
-                    addr.page += 1;
-                    if addr.page == pages_per_block {
-                        addr.page = 0;
-                        addr.block += 1;
-                    }
+        let geometry = self.geometry;
+        let stride = (geometry.channels * geometry.dies_per_channel()) as u64;
+        let mut first_failure: Option<(u64, FlashError)> = None;
+        for seg in preload_segments(&geometry, first_flat, pages) {
+            let die = self.channels[seg.channel]
+                .die(seg.die)
+                .expect("segment within the geometry");
+            if let Err((page, e)) = die.check_preload(seg.block, seg.first_page, seg.pages) {
+                let flat = seg.first_flat + (page - seg.first_page) as u64 * stride;
+                if first_failure.as_ref().map_or(true, |&(f, _)| flat < f) {
+                    first_failure = Some((flat, e));
                 }
             }
         }
-        self.valid_index
-            .on_program_batch(entries[..filled].iter().copied(), 0);
+        if let Some((_, e)) = first_failure {
+            return Err(e);
+        }
+        let blocks_per_die = geometry.blocks_per_die() as u64;
+        let dies = geometry.dies_per_channel() as u64;
+        for seg in preload_segments(&geometry, first_flat, pages) {
+            self.channels[seg.channel]
+                .preload_pages(seg.die, seg.block, seg.first_page, seg.pages)
+                .expect("segment checked above");
+            let block =
+                (seg.channel as u64 * dies + seg.die as u64) * blocks_per_die + seg.block as u64;
+            self.valid_index
+                .on_program_pages(block, seg.pages as u32, 0);
+        }
+        self.valid_index.on_preload_groups(first_flat, pages);
         Ok(())
     }
 
@@ -1123,9 +1139,61 @@ impl FlashBackbone {
     }
 }
 
+/// The pages one (channel, die) holds of a flat page range, within one
+/// block: `pages` consecutive pages from `first_page`, the first of which
+/// is flat page `first_flat`.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    channel: usize,
+    die: usize,
+    block: usize,
+    first_page: usize,
+    pages: usize,
+    first_flat: u64,
+}
+
+/// The segments of the flat range `first_flat..first_flat + pages`, per
+/// (channel, die) in stripe order, blocks ascending within each. Flat page
+/// `row × stride + offset` is page row `row` of the die at stripe offset
+/// `offset = die × channels + channel`, so each die holds one contiguous run
+/// of rows; it is cut wherever a row starts a new block.
+fn preload_segments(
+    geometry: &FlashGeometry,
+    first_flat: u64,
+    pages: u64,
+) -> impl Iterator<Item = Segment> {
+    let channels = geometry.channels as u64;
+    let stride = channels * geometry.dies_per_channel() as u64;
+    let pages_per_block = geometry.pages_per_block as u64;
+    let end = first_flat + pages;
+    (0..stride).flat_map(move |offset| {
+        // Rows r with first_flat <= r × stride + offset < end.
+        let mut row = first_flat.saturating_sub(offset).div_ceil(stride);
+        let rows_end = end.saturating_sub(offset).div_ceil(stride);
+        std::iter::from_fn(move || {
+            if row >= rows_end {
+                return None;
+            }
+            let page = row % pages_per_block;
+            let n = (pages_per_block - page).min(rows_end - row);
+            let seg = Segment {
+                channel: (offset % channels) as usize,
+                die: (offset / channels) as usize,
+                block: (row / pages_per_block) as usize,
+                first_page: page as usize,
+                pages: n as usize,
+                first_flat: row * stride + offset,
+            };
+            row += n;
+            Some(seg)
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn backbone() -> FlashBackbone {
         FlashBackbone::new(
@@ -1209,7 +1277,7 @@ mod tests {
         let a2 = PhysicalPageAddr::new(1, 0, 3, 0);
         b.submit(SimTime::ZERO, FlashCommand::program(a0)).unwrap();
         b.submit(SimTime::ZERO, FlashCommand::program(a1)).unwrap();
-        b.preload(a2).unwrap();
+        b.preload_group(g.addr_to_flat(a2), 1).unwrap();
         assert_eq!(b.total_valid_pages(), 3);
         assert_eq!(b.total_valid_pages(), b.recount_valid_pages());
         // Nothing holds garbage yet, so there is no victim.
@@ -1458,5 +1526,485 @@ mod tests {
             .unwrap();
         assert!(c1.finished > c0.finished);
         assert!(b.srio_utilization(c1.finished) > 0.9);
+    }
+
+    /// The four (geometry, pages per group) pairs the differential tests
+    /// below run on: `tiny_for_tests` with 1-page groups (group narrower
+    /// than the 2-page stripe), the allocator oracle's 2 ch × 1 die with its
+    /// 2-page groups (group = stripe), a 4 ch × 8 die stripe with 8-page
+    /// groups (the paper-prototype shape: each page of a group in a
+    /// different block), and 2 ch × 2 dies with 6-page groups (group wider
+    /// than the stripe and not aligned to it).
+    fn differential_setups() -> [(FlashGeometry, u64); 4] {
+        let shape = |channels, dies, blocks, pages| FlashGeometry {
+            channels,
+            packages_per_channel: 1,
+            dies_per_package: dies,
+            planes_per_die: 1,
+            blocks_per_plane: blocks,
+            pages_per_block: pages,
+            page_bytes: 4096,
+        };
+        [
+            (FlashGeometry::tiny_for_tests(), 1),
+            (shape(2, 1, 8, 16), 2),
+            (shape(4, 8, 4, 8), 8),
+            (shape(2, 2, 6, 8), 6),
+        ]
+    }
+
+    fn tracked_backbone(geometry: FlashGeometry, pages_per_group: u64) -> FlashBackbone {
+        let mut b = FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
+        b.enable_group_tracking(pages_per_group);
+        b
+    }
+
+    /// splitmix64 step for the seeded scenario generators below.
+    fn next_random(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n.max(1)
+    }
+
+    /// The page-by-page preload [`FlashBackbone::preload_group`] replaced:
+    /// one die update per page in flat order, with the valid index fed
+    /// through `on_program_batch` in 64-page chunks. An error leaves every
+    /// earlier page preloaded.
+    fn preload_page_by_page(
+        b: &mut FlashBackbone,
+        first_flat: u64,
+        pages: u64,
+    ) -> Result<(), FlashError> {
+        let geometry = b.geometry;
+        let mut entries = Vec::with_capacity(64);
+        for flat in first_flat..first_flat + pages {
+            let addr = geometry.flat_to_addr(flat);
+            if let Err(e) =
+                b.channels[addr.channel].preload_pages(addr.die, addr.block, addr.page, 1)
+            {
+                b.valid_index.on_program_batch(entries.drain(..), 0);
+                return Err(e);
+            }
+            entries.push((geometry.block_index(addr), flat));
+            if entries.len() == 64 {
+                b.valid_index.on_program_batch(entries.drain(..), 0);
+            }
+        }
+        b.valid_index.on_program_batch(entries.drain(..), 0);
+        Ok(())
+    }
+
+    /// Every piece of state a preload touches, compared between two
+    /// backbones: die page states and write cursors, channel valid counts,
+    /// the per-block index counters and ages, both victim picks, every
+    /// group's counters, and the device-wide valid total.
+    fn same_preload_state(a: &FlashBackbone, b: &FlashBackbone) -> Result<(), String> {
+        let geometry = a.geometry;
+        for c in 0..geometry.channels {
+            let (ca, cb) = (&a.channels[c], &b.channels[c]);
+            prop_assert_eq!(ca.total_valid_pages(), cb.total_valid_pages());
+            for d in 0..geometry.dies_per_channel() {
+                let (da, db) = (ca.die(d).unwrap(), cb.die(d).unwrap());
+                for block in 0..geometry.blocks_per_die() {
+                    prop_assert_eq!(da.programmed_pages_in(block), db.programmed_pages_in(block));
+                    prop_assert_eq!(da.valid_pages_in(block), db.valid_pages_in(block));
+                    for page in 0..geometry.pages_per_block {
+                        prop_assert_eq!(da.page_state(block, page), db.page_state(block, page));
+                    }
+                }
+            }
+        }
+        let (ia, ib) = (&a.valid_index, &b.valid_index);
+        for block in 0..geometry.total_blocks() {
+            prop_assert_eq!(ia.valid_in(block), ib.valid_in(block));
+            prop_assert_eq!(ia.programmed_in(block), ib.programmed_in(block));
+            prop_assert_eq!(ia.last_program_ns_of(block), ib.last_program_ns_of(block));
+        }
+        prop_assert_eq!(ia.min_valid_garbage_block(), ib.min_valid_garbage_block());
+        for now_ns in [0, 1_000, 1 << 40] {
+            prop_assert_eq!(
+                ia.cost_benefit_victim(now_ns),
+                ib.cost_benefit_victim(now_ns)
+            );
+        }
+        for g in 0..geometry.total_pages() {
+            prop_assert_eq!(ia.group_programmed_pages(g), ib.group_programmed_pages(g));
+            prop_assert_eq!(ia.group_valid_pages(g), ib.group_valid_pages(g));
+        }
+        prop_assert_eq!(ia.total_valid(), ib.total_valid());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Segment-wise preload equals the page-by-page reference on every
+        /// observable, for ranges at the write frontier (unaligned starts,
+        /// block-row crossings, the whole device, blocks already holding
+        /// garbage whose bucket must move) and for random ranges, which
+        /// mostly overlap programmed pages or skip a write cursor: those
+        /// must fail with the reference's first error and change nothing.
+        #[test]
+        fn preload_group_matches_the_page_by_page_reference(
+            setup in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (geometry, pages_per_group) = differential_setups()[setup];
+            let total = geometry.total_pages();
+            let mut rng = seed;
+            let mut b = tracked_backbone(geometry, pages_per_group);
+            // Every page below `frontier` is programmed or preloaded, so a
+            // range starting there is sequential on every die.
+            let mut frontier = 0u64;
+            let mut now = SimTime::ZERO;
+            for _ in 0..12 {
+                let free = total - frontier;
+                match next_random(&mut rng, 6) {
+                    // Program a stretch of the frontier at a later instant,
+                    // so blocks carry real ages.
+                    0 if free > 0 => {
+                        let pages = 1 + next_random(&mut rng, free.min(3 * pages_per_group));
+                        now += SimDuration::from_ns(1 + next_random(&mut rng, 5_000));
+                        b.submit_group(now, frontier, pages, FlashOp::ProgramPage, OwnerId::Gc)
+                            .map_err(|e| e.to_string())?;
+                        frontier += pages;
+                    }
+                    // Supersede scattered pages below the frontier: their
+                    // blocks enter the garbage buckets.
+                    1 if frontier > 0 => {
+                        for _ in 0..1 + next_random(&mut rng, 4) {
+                            let flat = next_random(&mut rng, frontier);
+                            b.invalidate_group(flat, 1).map_err(|e| e.to_string())?;
+                        }
+                    }
+                    // A random range anywhere; anything overlapping the
+                    // frontier's left side always fails.
+                    2 => {
+                        let first = if frontier > 0 && next_random(&mut rng, 2) == 0 {
+                            frontier - 1 - next_random(&mut rng, frontier.min(8))
+                        } else {
+                            next_random(&mut rng, total)
+                        };
+                        let pages = 1 + next_random(&mut rng, (total - first).min(40));
+                        let mut reference = b.clone();
+                        let want = preload_page_by_page(&mut reference, first, pages);
+                        let before = b.clone();
+                        let got = b.preload_group(first, pages);
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                        if first < frontier {
+                            prop_assert!(got.is_err());
+                        }
+                        match got {
+                            Ok(()) => {
+                                same_preload_state(&b, &reference)?;
+                                if first != frontier {
+                                    // A range that skipped past the
+                                    // frontier onto fresh blocks: the
+                                    // pages below it are no longer one
+                                    // sequential prefix, so stop here.
+                                    break;
+                                }
+                                frontier = first + pages;
+                            }
+                            Err(_) => same_preload_state(&b, &before)?,
+                        }
+                    }
+                    // A preload from the frontier: short, long, or to the
+                    // end of the device.
+                    _ if free > 0 => {
+                        let pages = match next_random(&mut rng, 3) {
+                            0 => free,
+                            1 => 1 + next_random(&mut rng, free),
+                            _ => 1 + next_random(&mut rng, free.min(2 * pages_per_group)),
+                        };
+                        let mut reference = b.clone();
+                        preload_page_by_page(&mut reference, frontier, pages)
+                            .map_err(|e| e.to_string())?;
+                        b.preload_group(frontier, pages).map_err(|e| e.to_string())?;
+                        same_preload_state(&b, &reference)?;
+                        frontier += pages;
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(b.total_valid_pages(), b.recount_valid_pages());
+        }
+    }
+
+    #[test]
+    fn whole_device_preload_matches_the_reference_on_every_setup() {
+        for (geometry, pages_per_group) in differential_setups() {
+            let mut b = tracked_backbone(geometry, pages_per_group);
+            let mut reference = b.clone();
+            let total = geometry.total_pages();
+            preload_page_by_page(&mut reference, 0, total).unwrap();
+            b.preload_group(0, total).unwrap();
+            same_preload_state(&b, &reference).unwrap();
+            assert_eq!(b.total_valid_pages() as u64, total);
+            // A full device refuses any further preload, untouched.
+            let before = b.clone();
+            assert!(matches!(
+                b.preload_group(total / 2, 1),
+                Err(FlashError::ProgramWithoutErase(_))
+            ));
+            same_preload_state(&b, &before).unwrap();
+        }
+    }
+
+    /// The group accounting the valid index kept before it derived resident
+    /// groups at erase time: per block, the sorted `(group, programmed,
+    /// valid)` entries of the groups with programmed pages in it, fed one
+    /// page event at a time.
+    struct ByBlockReference {
+        pages_per_group: u64,
+        programmed: Vec<u32>,
+        valid: Vec<u32>,
+        by_block: Vec<Vec<(u32, u32, u32)>>,
+        fully_erased: Vec<u64>,
+    }
+
+    impl ByBlockReference {
+        fn new(geometry: &FlashGeometry, pages_per_group: u64) -> Self {
+            let groups = (geometry.total_pages() / pages_per_group) as usize;
+            ByBlockReference {
+                pages_per_group,
+                programmed: vec![0; groups],
+                valid: vec![0; groups],
+                by_block: vec![Vec::new(); geometry.total_blocks() as usize],
+                fully_erased: Vec::new(),
+            }
+        }
+
+        fn program(&mut self, block: u64, flat: u64) {
+            let g = flat / self.pages_per_group;
+            if g as usize >= self.programmed.len() {
+                return;
+            }
+            self.programmed[g as usize] += 1;
+            self.valid[g as usize] += 1;
+            let list = &mut self.by_block[block as usize];
+            match list.binary_search_by_key(&(g as u32), |entry| entry.0) {
+                Ok(i) => {
+                    list[i].1 += 1;
+                    list[i].2 += 1;
+                }
+                Err(i) => list.insert(i, (g as u32, 1, 1)),
+            }
+        }
+
+        fn invalidate(&mut self, block: u64, flat: u64) {
+            let g = flat / self.pages_per_group;
+            if g as usize >= self.valid.len() {
+                return;
+            }
+            self.valid[g as usize] -= 1;
+            let list = &mut self.by_block[block as usize];
+            if let Ok(i) = list.binary_search_by_key(&(g as u32), |entry| entry.0) {
+                list[i].2 -= 1;
+            }
+        }
+
+        fn erase(&mut self, block: u64) {
+            for (g, programmed, valid) in std::mem::take(&mut self.by_block[block as usize]) {
+                let g = g as usize;
+                self.programmed[g] -= programmed;
+                self.valid[g] -= valid;
+                if self.programmed[g] == 0 {
+                    self.fully_erased.push(g as u64);
+                }
+            }
+        }
+    }
+
+    /// A model of the device the erase-derivation test drives: page states
+    /// by flat page and write cursors by flat block, updated from each
+    /// command's parameters and result alone, and feeding the reference.
+    struct EraseModel {
+        geometry: FlashGeometry,
+        pages: Vec<PageState>,
+        cursors: Vec<usize>,
+        reference: ByBlockReference,
+    }
+
+    impl EraseModel {
+        /// How many of the `pages` flat pages from `first` can be programmed
+        /// in order right now: the longest prefix whose every page is its
+        /// block's next page.
+        fn sequential_prefix(&self, first: u64, pages: u64) -> u64 {
+            let mut cursors = self.cursors.clone();
+            let end = (first + pages).min(self.geometry.total_pages());
+            for flat in first..end {
+                let addr = self.geometry.flat_to_addr(flat);
+                let block = self.geometry.block_index(addr) as usize;
+                if cursors[block] != addr.page {
+                    return flat - first;
+                }
+                cursors[block] += 1;
+            }
+            end - first
+        }
+
+        fn land(&mut self, flat: u64, valid: bool) {
+            let addr = self.geometry.flat_to_addr(flat);
+            let block = self.geometry.block_index(addr);
+            self.cursors[block as usize] += 1;
+            self.pages[flat as usize] = PageState::Valid;
+            self.reference.program(block, flat);
+            if !valid {
+                self.invalidate(flat);
+            }
+        }
+
+        fn invalidate(&mut self, flat: u64) {
+            if self.pages[flat as usize] == PageState::Valid {
+                self.pages[flat as usize] = PageState::Invalid;
+                let block = self.geometry.block_index(self.geometry.flat_to_addr(flat));
+                self.reference.invalidate(block, flat);
+            }
+        }
+
+        fn erase(&mut self, block: u64) {
+            let (channel, die, blk) = self.geometry.block_index_to_addr(block);
+            for page in 0..self.geometry.pages_per_block {
+                let addr = PhysicalPageAddr::new(channel, die, blk, page);
+                self.pages[self.geometry.addr_to_flat(addr) as usize] = PageState::Free;
+            }
+            self.cursors[block as usize] = 0;
+            self.reference.erase(block);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Groups derived from the die at erase time match the per-block
+        /// lists the index used to keep, through group programs (with
+        /// injected failures and their pad pages), preloads, reads,
+        /// invalidations, and erases via all three submit paths, some of
+        /// them failing: after every erase the fully-erased drain is the
+        /// reference's, in order, and so is every group counter.
+        #[test]
+        fn erase_time_groups_match_the_by_block_reference(
+            setup in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::fault::threshold_from_probability;
+            let (geometry, pages_per_group) = differential_setups()[setup];
+            let total = geometry.total_pages();
+            let mut rng = seed;
+            let mut b = tracked_backbone(geometry, pages_per_group);
+            b.install_fault_plan(Arc::new(FaultPlan {
+                seed,
+                program_threshold: threshold_from_probability(0.04),
+                erase_threshold: threshold_from_probability(0.1),
+                read_disturb_threshold: threshold_from_probability(0.05),
+                ..FaultPlan::default()
+            }));
+            let mut model = EraseModel {
+                geometry,
+                pages: vec![PageState::Free; total as usize],
+                cursors: vec![0; geometry.total_blocks() as usize],
+                reference: ByBlockReference::new(&geometry, pages_per_group),
+            };
+            let mut now = SimTime::ZERO;
+            let mut erases = 0;
+            for _ in 0..300 {
+                now += SimDuration::from_ns(1 + next_random(&mut rng, 2_000));
+                match next_random(&mut rng, 10) {
+                    // Group programs from a block's write cursor, trimmed to
+                    // the sequential prefix.
+                    0..=2 => {
+                        let block = next_random(&mut rng, geometry.total_blocks());
+                        let cursor = model.cursors[block as usize];
+                        if cursor == geometry.pages_per_block {
+                            continue;
+                        }
+                        let (c, d, blk) = geometry.block_index_to_addr(block);
+                        let first = geometry.addr_to_flat(PhysicalPageAddr::new(c, d, blk, cursor));
+                        let want = 1 + next_random(&mut rng, 3 * pages_per_group);
+                        let pages = model.sequential_prefix(first, want);
+                        match b.submit_group(now, first, pages, FlashOp::ProgramPage, OwnerId::Gc) {
+                            Ok(_) => (first..first + pages).for_each(|f| model.land(f, true)),
+                            // The failed page and the pads after it land
+                            // programmed and invalid.
+                            Err(FlashError::InjectedProgramFailure(addr)) => {
+                                let failed = geometry.addr_to_flat(addr);
+                                for flat in first..first + pages {
+                                    model.land(flat, flat < failed);
+                                }
+                            }
+                            Err(e) => return Err(format!("sequential program failed: {e}")),
+                        }
+                    }
+                    // Preloads, usually sequential; a rejected one must
+                    // leave everything untouched.
+                    3 => {
+                        let first = next_random(&mut rng, total);
+                        let want = 1 + next_random(&mut rng, 2 * pages_per_group);
+                        let pages = want.min(total - first);
+                        let valid = model.sequential_prefix(first, pages) == pages;
+                        let got = b.preload_group(first, pages);
+                        prop_assert_eq!(got.is_ok(), valid);
+                        if valid {
+                            (first..first + pages).for_each(|f| model.land(f, true));
+                        }
+                    }
+                    4 => {
+                        let first = next_random(&mut rng, total);
+                        let pages = (1 + next_random(&mut rng, 8)).min(total - first);
+                        let _ = b.submit_group(now, first, pages, FlashOp::ReadPage, OwnerId::Kernel(0));
+                    }
+                    5..=6 => {
+                        let first = next_random(&mut rng, total);
+                        let pages = (1 + next_random(&mut rng, 2 * pages_per_group)).min(total - first);
+                        b.invalidate_group(first, pages).map_err(|e| e.to_string())?;
+                        (first..first + pages).for_each(|f| model.invalidate(f));
+                    }
+                    _ => {
+                        let block = next_random(&mut rng, geometry.total_blocks());
+                        let (c, d, blk) = geometry.block_index_to_addr(block);
+                        let addr = PhysicalPageAddr::new(c, d, blk, 0);
+                        let got = match next_random(&mut rng, 3) {
+                            0 => b.submit_tagged(now, FlashCommand::erase(addr), OwnerId::Gc).map(|_| ()),
+                            1 => b
+                                .submit_batch(now, [FlashCommand::erase(addr)], OwnerId::Gc)
+                                .map(|_| ()),
+                            _ => b
+                                .submit_group(now, geometry.addr_to_flat(addr), 1, FlashOp::EraseBlock, OwnerId::Gc)
+                                .map(|_| ()),
+                        };
+                        match got {
+                            Ok(()) => {
+                                model.erase(block);
+                                erases += 1;
+                            }
+                            Err(FlashError::InjectedEraseFailure(_)) => {}
+                            Err(e) => return Err(format!("erase failed: {e}")),
+                        }
+                        prop_assert_eq!(
+                            b.take_fully_erased_groups(),
+                            std::mem::take(&mut model.reference.fully_erased)
+                        );
+                        for g in 0..model.reference.programmed.len() {
+                            prop_assert_eq!(
+                                b.valid_index().group_programmed_pages(g as u64),
+                                model.reference.programmed[g]
+                            );
+                            prop_assert_eq!(
+                                b.valid_index().group_valid_pages(g as u64),
+                                model.reference.valid[g]
+                            );
+                        }
+                    }
+                }
+            }
+            // The model tracked the device exactly.
+            for flat in 0..total {
+                let addr = geometry.flat_to_addr(flat);
+                let die = b.channel(addr.channel).unwrap().die(addr.die).unwrap();
+                prop_assert_eq!(die.page_state(addr.block, addr.page), Some(model.pages[flat as usize]));
+            }
+            prop_assert!(erases > 0);
+        }
     }
 }

@@ -79,7 +79,7 @@ pub struct ChannelController {
     owner_peaks: Vec<usize>,
     /// Valid pages across the channel, maintained incrementally by
     /// [`ChannelController::execute`], [`ChannelController::invalidate`],
-    /// and [`ChannelController::preload`]. Mutating a die directly through
+    /// and [`ChannelController::preload_pages`]. Mutating a die directly through
     /// [`ChannelController::die_mut`] bypasses this counter.
     valid_pages: usize,
     /// Channel-local fault state, installed by the backbone when a fault
@@ -444,14 +444,19 @@ impl ChannelController {
         Ok(())
     }
 
-    /// Marks a page valid without consuming channel time (pre-experiment
-    /// data placement), keeping the channel's accounting in step.
-    pub fn preload(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
-        self.dies
-            .get_mut(addr.die)
-            .ok_or(FlashError::OutOfRange(addr))?
-            .preload_page(addr.block, addr.page)?;
-        self.valid_pages += 1;
+    /// Marks pages `first_page..first_page + n` of `block` on `die` valid
+    /// without consuming channel time (pre-experiment data placement; see
+    /// [`FlashDie::preload_pages`]), keeping the channel's valid count in
+    /// step. On error nothing changes.
+    pub(crate) fn preload_pages(
+        &mut self,
+        die: usize,
+        block: usize,
+        first_page: usize,
+        n: usize,
+    ) -> Result<(), FlashError> {
+        self.dies[die].preload_pages(block, first_page, n)?;
+        self.valid_pages += n;
         Ok(())
     }
 

@@ -226,32 +226,72 @@ impl FlashDie {
         Ok(res)
     }
 
-    /// Marks a page valid without consuming device time, enforcing the same
-    /// sequential-programming rule as [`FlashDie::program_page`].
+    /// Checks that pages `first_page..first_page + n` of `block` can be
+    /// preloaded: the run must start at the block's write cursor (NAND
+    /// programs in order) and every page in it must be erased. On failure
+    /// returns the first offending page with the error a program of that
+    /// page would report.
+    pub(crate) fn check_preload(
+        &self,
+        block: usize,
+        first_page: usize,
+        n: usize,
+    ) -> Result<(), (usize, FlashError)> {
+        let addr = |page| crate::geometry::PhysicalPageAddr::new(0, 0, block, page);
+        let base = block * self.pages_per_block;
+        let pages = &self.pages[base + first_page..base + first_page + n];
+        let busy = pages.iter().position(|p| *p != PageState::Free);
+        let cursor = self.blocks[block].write_cursor;
+        match busy {
+            Some(0) => Err((
+                first_page,
+                FlashError::ProgramWithoutErase(addr(first_page)),
+            )),
+            _ if first_page != cursor => Err((
+                first_page,
+                FlashError::NonSequentialProgram {
+                    addr: addr(first_page),
+                    expected_page: cursor,
+                },
+            )),
+            Some(i) => Err((
+                first_page + i,
+                FlashError::ProgramWithoutErase(addr(first_page + i)),
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Marks pages `first_page..first_page + n` of `block` valid without
+    /// consuming device time, under the same rules as
+    /// [`FlashDie::program_page`] (see [`FlashDie::check_preload`]); on
+    /// error nothing changes.
     ///
     /// This models data that is already resident in flash before the
     /// simulated experiment begins (the paper's input files live on the
     /// flash backbone before kernels are offloaded), so it bypasses the
     /// die's timing but not its state machine.
-    pub fn preload_page(&mut self, block: usize, page: usize) -> Result<(), FlashError> {
-        self.check_block(block, page)?;
-        let addr = crate::geometry::PhysicalPageAddr::new(0, 0, block, page);
-        let slot = block * self.pages_per_block + page;
+    pub(crate) fn preload_pages(
+        &mut self,
+        block: usize,
+        first_page: usize,
+        n: usize,
+    ) -> Result<(), FlashError> {
+        self.check_preload(block, first_page, n)
+            .map_err(|(_, e)| e)?;
+        let base = block * self.pages_per_block + first_page;
+        self.pages[base..base + n].fill(PageState::Valid);
         let blk = &mut self.blocks[block];
-        match self.pages[slot] {
-            PageState::Free => {}
-            _ => return Err(FlashError::ProgramWithoutErase(addr)),
-        }
-        if page != blk.write_cursor {
-            return Err(FlashError::NonSequentialProgram {
-                addr,
-                expected_page: blk.write_cursor,
-            });
-        }
-        self.pages[slot] = PageState::Valid;
-        blk.write_cursor += 1;
-        blk.valid += 1;
+        blk.write_cursor += n;
+        blk.valid += n as u32;
         Ok(())
+    }
+
+    /// States of the programmed pages of `block`, `0..write_cursor`: the
+    /// pages an erase of the block clears.
+    pub(crate) fn programmed_page_states(&self, block: usize) -> &[PageState] {
+        let base = block * self.pages_per_block;
+        &self.pages[base..base + self.blocks[block].write_cursor]
     }
 
     /// Marks a previously valid page as superseded (no die time consumed —
@@ -403,10 +443,24 @@ mod tests {
         }
         d.invalidate_page(0, 1).unwrap();
         d.invalidate_page(0, 4).unwrap();
-        d.preload_page(0, 6).unwrap();
+        d.preload_pages(0, 6, 2).unwrap();
         assert_eq!(d.valid_pages_in(0), d.recount_valid_pages_in(0));
-        assert_eq!(d.valid_pages_in(0), 5);
-        assert_eq!(d.programmed_pages_in(0), 7);
+        assert_eq!(d.valid_pages_in(0), 6);
+        assert_eq!(d.programmed_pages_in(0), 8);
+        // A preload over a programmed page or past the write cursor is
+        // refused and changes nothing.
+        assert!(matches!(
+            d.preload_pages(0, 7, 2),
+            Err(FlashError::ProgramWithoutErase(_))
+        ));
+        assert!(matches!(
+            d.preload_pages(0, 9, 1),
+            Err(FlashError::NonSequentialProgram {
+                expected_page: 8,
+                ..
+            })
+        ));
+        assert_eq!(d.programmed_pages_in(0), 8);
         d.erase_block(SimTime::ZERO, 0, &t).unwrap();
         assert_eq!(d.valid_pages_in(0), d.recount_valid_pages_in(0));
         assert_eq!(d.valid_pages_in(0), 0);

@@ -27,6 +27,12 @@
 //!   garbage block from index state alone
 //!   ([`ValidPageIndex::cost_benefit_victim`]).
 //!
+//! With group tracking on, the index also keeps per-group programmed/valid
+//! counts and reports the groups an erase made reusable. It stores no
+//! per-block list of resident groups for that: the caller of
+//! [`ValidPageIndex::on_erase`] passes the erased block's programmed pages,
+//! which the backbone reads off the die just before the erase.
+//!
 //! The index is maintained by [`crate::backbone::FlashBackbone`] for every
 //! command routed through it. Mutating a die directly (tests using
 //! `die_mut`) bypasses the hooks; the property-test oracle recounts from
@@ -47,8 +53,9 @@
 //! // Block 0 is now the cheapest (and only) reclaim candidate.
 //! assert_eq!(idx.min_valid_garbage_block(), Some(0));
 //! assert_eq!(idx.cost_benefit_victim(1_000), Some(0));
-//! // Erasing it bumps the wear counter and queues an erase event.
-//! idx.on_erase(0);
+//! // Erasing it bumps the wear counter and queues an erase event. (The
+//! // resident-page list only matters with group tracking enabled.)
+//! idx.on_erase(0, &[]);
 //! assert_eq!(idx.block_erase_count(0), 1);
 //! assert_eq!(idx.take_erased_blocks(), vec![0]);
 //! ```
@@ -58,13 +65,16 @@
 /// A *page group* is `pages_per_group` consecutive flat pages — the
 /// allocation unit of the translation layer above. The tracker answers the
 /// question the group-reclaim leak fix needs: *which groups did this erase
-/// make reusable?* It keeps per-group programmed/valid page counts plus,
-/// per block, the groups holding programmed pages in that block (a group
-/// stripes across channels, so it spans several blocks of one block row).
-/// When an erase clears a group's last programmed page anywhere on the
-/// device, the group lands in `fully_erased` for the caller to drain —
-/// including overwritten (unmapped) garbage groups that no migration ever
-/// recycled.
+/// make reusable?* It keeps only per-group programmed/valid page counts, so
+/// programs and preloads bump two counters per group and invalidations one.
+/// Which groups an erase touches is not stored per block: a group stripes
+/// across channels and dies, so each of its pages would need an entry in a
+/// different block's list. The backbone instead reads the erased block's
+/// programmed pages off the die and hands them to
+/// [`ValidPageIndex::on_erase`]. When an erase clears a group's last
+/// programmed page anywhere on the device, the group lands in
+/// `fully_erased` for the caller to drain — including overwritten
+/// (unmapped) garbage groups that no migration ever recycled.
 #[derive(Debug, Clone)]
 struct GroupTracker {
     pages_per_group: u64,
@@ -72,40 +82,9 @@ struct GroupTracker {
     programmed: Vec<u32>,
     /// Valid pages per group.
     valid: Vec<u32>,
-    /// Per block: the groups holding programmed pages in this block, as a
-    /// sorted dense run of `(group, programmed, valid)`. NAND programs land
-    /// on ascending pages within a block, and ascending pages map to
-    /// non-decreasing flat indices (hence non-decreasing groups), so the
-    /// hot-path maintenance is "increment the last entry or append" —
-    /// contiguous memory, no tree nodes, no per-command allocation beyond
-    /// amortized `Vec` growth. Out-of-order landings (preloads) fall back
-    /// to a binary-search insert.
-    by_block: Vec<Vec<(u32, u32, u32)>>,
     /// Groups whose last programmed page an erase just cleared, pending a
     /// drain by the reclaim path.
     fully_erased: Vec<u64>,
-}
-
-impl GroupTracker {
-    /// Records one programmed page of group `g` residing in block `b`.
-    fn note_program(&mut self, b: usize, g: u32) {
-        let list = &mut self.by_block[b];
-        match list.last_mut() {
-            Some(entry) if entry.0 == g => {
-                entry.1 += 1;
-                entry.2 += 1;
-            }
-            Some(entry) if entry.0 < g => list.push((g, 1, 1)),
-            None => list.push((g, 1, 1)),
-            _ => match list.binary_search_by_key(&g, |entry| entry.0) {
-                Ok(i) => {
-                    list[i].1 += 1;
-                    list[i].2 += 1;
-                }
-                Err(i) => list.insert(i, (g, 1, 1)),
-            },
-        }
-    }
 }
 
 /// Backbone-wide incremental valid-page accounting.
@@ -179,7 +158,6 @@ impl ValidPageIndex {
             pages_per_group: pages_per_group.max(1),
             programmed: vec![0; total_groups as usize],
             valid: vec![0; total_groups as usize],
-            by_block: vec![Vec::new(); self.valid.len()],
             fully_erased: Vec::new(),
         });
     }
@@ -237,25 +215,53 @@ impl ValidPageIndex {
     /// `block` at instant `now_ns` (preloads pass 0: pre-experiment data is
     /// "as old as the run").
     pub fn on_program(&mut self, block: u64, flat: u64, now_ns: u64) {
+        self.on_program_pages(block, 1, now_ns);
+        self.group_programmed(flat, 1);
+    }
+
+    /// Books `n` pages programmed into `block` at `now_ns` in the per-block
+    /// counters only, moving the block's garbage bucket if it has one. A
+    /// preload books each (die, block) segment through here at instant 0
+    /// (pre-experiment data is "as old as the run") and its group counters
+    /// through [`ValidPageIndex::on_preload_groups`], once per group.
+    pub(crate) fn on_program_pages(&mut self, block: u64, n: u32, now_ns: u64) {
         let b = block as usize;
         let had_garbage = self.garbage(b) > 0;
         if had_garbage {
             self.bucket_remove(self.valid[b], block as u32);
         }
-        self.programmed[b] += 1;
-        self.valid[b] += 1;
-        self.total_valid += 1;
+        self.programmed[b] += n;
+        self.valid[b] += n;
+        self.total_valid += n as u64;
         self.last_program_ns[b] = self.last_program_ns[b].max(now_ns);
         if had_garbage {
             self.bucket_insert(self.valid[b], block as u32);
         }
+    }
+
+    /// Books `n` programmed pages of the group holding flat page `flat`.
+    fn group_programmed(&mut self, flat: u64, n: u32) {
         if let Some(t) = &mut self.groups {
             let g = (flat / t.pages_per_group) as usize;
             if g < t.programmed.len() {
-                t.programmed[g] += 1;
-                t.valid[g] += 1;
-                t.note_program(b, g as u32);
+                t.programmed[g] += n;
+                t.valid[g] += n;
             }
+        }
+    }
+
+    /// Books the flat pages `first_flat..first_flat + pages` as programmed
+    /// and valid in the group counters, one update per group.
+    pub(crate) fn on_preload_groups(&mut self, first_flat: u64, pages: u64) {
+        let Some(ppg) = self.groups.as_ref().map(|t| t.pages_per_group) else {
+            return;
+        };
+        let end = first_flat + pages;
+        let mut flat = first_flat;
+        while flat < end {
+            let next = ((flat / ppg + 1) * ppg).min(end);
+            self.group_programmed(flat, (next - flat) as u32);
+            flat = next;
         }
     }
 
@@ -272,22 +278,10 @@ impl ValidPageIndex {
         // (group, pages) accumulated for the current same-group run.
         let mut pending: Option<(usize, u32)> = None;
         for (block, flat) in entries {
-            let b = block as usize;
-            let had_garbage = self.garbage(b) > 0;
-            if had_garbage {
-                self.bucket_remove(self.valid[b], block as u32);
-            }
-            self.programmed[b] += 1;
-            self.valid[b] += 1;
-            self.total_valid += 1;
-            self.last_program_ns[b] = self.last_program_ns[b].max(now_ns);
-            if had_garbage {
-                self.bucket_insert(self.valid[b], block as u32);
-            }
+            self.on_program_pages(block, 1, now_ns);
             if let Some(t) = &mut self.groups {
                 let g = (flat / t.pages_per_group) as usize;
                 if g < t.programmed.len() {
-                    t.note_program(b, g as u32);
                     pending = match pending {
                         Some((run, pages)) if run == g => Some((run, pages + 1)),
                         Some((run, pages)) => {
@@ -319,10 +313,6 @@ impl ValidPageIndex {
             let g = (flat / t.pages_per_group) as usize;
             if g < t.valid.len() {
                 t.valid[g] -= 1;
-                let list = &mut t.by_block[b];
-                if let Ok(i) = list.binary_search_by_key(&(g as u32), |entry| entry.0) {
-                    list[i].2 -= 1;
-                }
             }
         }
     }
@@ -348,10 +338,6 @@ impl ValidPageIndex {
             if let Some(t) = &mut self.groups {
                 let g = (flat / t.pages_per_group) as usize;
                 if g < t.valid.len() {
-                    let list = &mut t.by_block[b];
-                    if let Ok(i) = list.binary_search_by_key(&(g as u32), |entry| entry.0) {
-                        list[i].2 -= 1;
-                    }
                     pending = match pending {
                         Some((run, pages)) if run == g => Some((run, pages + 1)),
                         Some((run, pages)) => {
@@ -368,8 +354,14 @@ impl ValidPageIndex {
         }
     }
 
-    /// Records `block` being erased.
-    pub fn on_erase(&mut self, block: u64) {
+    /// Records `block` being erased. `resident` lists the block's
+    /// programmed pages just before the erase as `(flat page, valid)`
+    /// pairs in ascending flat order; only group tracking reads it, so
+    /// callers without it may pass an empty slice. Every group holding one
+    /// of those pages loses them from its counters, and a group left with
+    /// no programmed page anywhere lands in the fully-erased drain, in
+    /// ascending group order.
+    pub fn on_erase(&mut self, block: u64, resident: &[(u64, bool)]) {
         let b = block as usize;
         if self.garbage(b) > 0 {
             self.bucket_remove(self.valid[b], block as u32);
@@ -380,22 +372,33 @@ impl ValidPageIndex {
         self.erase_counts[b] += 1;
         self.erase_events.push(block);
         if let Some(t) = &mut self.groups {
-            // Take the list out so the per-group counters can be updated
-            // while walking it; hand back the emptied allocation afterwards
-            // so a recycled block's next programs reuse the capacity.
-            let mut resident = std::mem::take(&mut t.by_block[b]);
-            for &(g, programmed, valid) in &resident {
-                let g = g as usize;
+            let ppg = t.pages_per_group;
+            let mut pages = resident.iter().peekable();
+            while let Some(&(flat, valid)) = pages.next() {
+                let g = (flat / ppg) as usize;
+                if g >= t.programmed.len() {
+                    // Flat pages ascend, so every later page is past the
+                    // tracked groups too.
+                    break;
+                }
+                // Ascending flat pages keep one group's pages adjacent.
+                let (mut programmed, mut still_valid) = (1u32, valid as u32);
+                while let Some(&&(next, valid)) = pages.peek() {
+                    if (next / ppg) as usize != g {
+                        break;
+                    }
+                    programmed += 1;
+                    still_valid += valid as u32;
+                    pages.next();
+                }
                 t.programmed[g] -= programmed;
-                t.valid[g] -= valid;
+                t.valid[g] -= still_valid;
                 if t.programmed[g] == 0 {
                     // The erase cleared this group's last programmed page
                     // anywhere on the device: it is reusable again.
                     t.fully_erased.push(g as u64);
                 }
             }
-            resident.clear();
-            t.by_block[b] = resident;
         }
     }
 
@@ -406,20 +409,6 @@ impl ValidPageIndex {
     pub fn take_fully_erased_groups(&mut self) -> Vec<u64> {
         match &mut self.groups {
             Some(t) => std::mem::take(&mut t.fully_erased),
-            None => Vec::new(),
-        }
-    }
-
-    /// The garbage groups currently resident in `block`: groups holding at
-    /// least one programmed page in the block but no valid page anywhere.
-    /// Empty without group tracking.
-    pub fn garbage_groups_in(&self, block: u64) -> Vec<u64> {
-        match &self.groups {
-            Some(t) => t.by_block[block as usize]
-                .iter()
-                .filter(|&&(g, _, _)| t.valid[g as usize] == 0)
-                .map(|&(g, _, _)| g as u64)
-                .collect(),
             None => Vec::new(),
         }
     }
@@ -594,7 +583,7 @@ mod tests {
         idx.on_invalidate(3, 0); // 1 valid, 3 garbage
         idx.on_invalidate(2, 0); // 3 valid, 1 garbage
         assert_eq!(idx.min_valid_garbage_block(), Some(3));
-        idx.on_erase(3);
+        idx.on_erase(3, &[]);
         assert_eq!(idx.valid_in(3), 0);
         assert_eq!(idx.programmed_in(3), 0);
         // Blocks 1 and 2 tie at 3 valid pages; the smaller index wins.
@@ -609,7 +598,7 @@ mod tests {
             idx.on_program(1, 0, 0);
         }
         idx.on_invalidate(1, 0);
-        idx.on_erase(1);
+        idx.on_erase(1, &[]);
         assert_eq!(idx.min_valid_garbage_block(), None);
         assert_eq!(idx.total_valid(), 0);
         // The block is reusable from scratch.
@@ -634,15 +623,15 @@ mod tests {
         idx.on_invalidate(0, 0);
         idx.on_invalidate(0, 1);
         assert_eq!(idx.group_valid_pages(0), 0);
-        assert_eq!(idx.garbage_groups_in(0), vec![0]);
+        assert_eq!(idx.group_programmed_pages(0), 2);
         // Nothing is reclaimable before the erase.
         assert!(idx.take_fully_erased_groups().is_empty());
-        // The erase clears both resident groups; both report fully erased
-        // (group 1 was still valid — the caller filters mapped groups).
-        idx.on_erase(0);
-        let mut erased = idx.take_fully_erased_groups();
-        erased.sort_unstable();
-        assert_eq!(erased, vec![0, 1]);
+        // The erase clears both resident groups; both report fully erased,
+        // in ascending order (group 1 was still valid — the caller filters
+        // mapped groups).
+        idx.on_erase(0, &[(0, false), (1, false), (2, true), (3, true)]);
+        assert_eq!(idx.take_fully_erased_groups(), vec![0, 1]);
+        assert_eq!(idx.group_valid_pages(1), 0);
         // The drain is one-shot.
         assert!(idx.take_fully_erased_groups().is_empty());
         assert_eq!(idx.group_programmed_pages(0), 0);
@@ -658,10 +647,10 @@ mod tests {
         idx.on_program(1, 1, 0);
         idx.on_invalidate(0, 0);
         idx.on_invalidate(1, 1);
-        idx.on_erase(0);
+        idx.on_erase(0, &[(0, false)]);
         // One page still programmed in block 1: not reclaimable yet.
         assert!(idx.take_fully_erased_groups().is_empty());
-        idx.on_erase(1);
+        idx.on_erase(1, &[(1, false)]);
         assert_eq!(idx.take_fully_erased_groups(), vec![0]);
     }
 
